@@ -1,0 +1,6 @@
+"""``python -m omegapower``: the command line interface."""
+
+from .cli import console
+
+if __name__ == "__main__":
+    console()

@@ -58,6 +58,16 @@ _OMEGA_SIZES = {
 }
 
 
+def _budget(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="omegapower",
@@ -88,13 +98,13 @@ def _build_parser():
     )
     p_omega.add_argument("--input", required=True, help="lasso or K[N,j]m literal")
     p_omega.add_argument("--rtree", default="full")
-    p_omega.add_argument("--budget", type=int, default=10_000)
+    p_omega.add_argument("--budget", type=_budget, default=10_000)
 
     p_verify = sub.add_parser("verify", help="run a dual-route suite")
     p_verify.add_argument("--suite", choices=sorted(SUITES), required=True)
     p_verify.add_argument("--bound", type=int)
     p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--budget", type=int)
+    p_verify.add_argument("--budget", type=_budget)
     p_verify.add_argument("--rtree", default="full")
     p_verify.add_argument("--out", help="write the JSON report here")
     return parser

@@ -259,5 +259,9 @@ def load_tree(source: str) -> RTreePresentation:
         return full_tree()
     if source == "diag":
         return diag_tree()
-    with open(source, "r", encoding="utf-8") as fh:
-        return tree_from_json(fh.read())
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise WorkbenchError(f"cannot read tree file {source!r}: {exc}") from exc
+    return tree_from_json(text)

@@ -28,6 +28,7 @@ from .erasing import (
     e_counter_member,
     e_def_member,
     e_preimage_check,
+    erase_fin,
     t_member,
 )
 from .errors import WorkbenchError
@@ -121,34 +122,29 @@ def _resolve_tree(tree):
 # ------------------------------------------------------------- corpora
 
 def _words3_up_to(bound):
-    """All letter tuples over {0,1,2} of length <= bound."""
-    out = []
-    for length in range(bound + 1):
-        out.extend(itertools.product((0, 1, 2), repeat=length))
-    return out
+    """All letter tuples over {0,1,2} of length <= bound, by length, then
+    lexicographically; generated lazily."""
+    return itertools.chain.from_iterable(
+        itertools.product((0, 1, 2), repeat=length) for length in range(bound + 1)
+    )
 
 
-def _t_raw(letters):
-    c = 0
-    for x in letters:
-        c += (x == 1) - (x == 2)
-        if c < 0:
-            return False
-    return True
+def _trie_walk(words):
+    """Depth-first steps over a prefix-closed list of words: (x, i) enters
+    words[i] by its last letter x, (x, None) leaves it again."""
+    index = {w: i for i, w in enumerate(words)}
+    walk = []
 
+    def visit(w):
+        for x in (0, 1, 2):
+            i = index.get(w + (x,))
+            if i is not None:
+                walk.append((x, i))
+                visit(words[i])
+                walk.append((x, None))
 
-def _erase_raw(letters):
-    emitted = []
-    live = []
-    for x in letters:
-        if x == 2:
-            emitted[live.pop()] = 0
-        elif x == 1:
-            live.append(len(emitted))
-            emitted.append(1)
-        else:
-            emitted.append(0)
-    return tuple(emitted)
+    visit(())
+    return walk
 
 
 def _knj_grid(max_j, m_bound):
@@ -192,23 +188,55 @@ def _suite_pair_enum_roundtrip(bound, seed, tree, budget):
 
 
 def _suite_erase_homomorphism(bound, seed, tree, budget):
+    """Route A resumes an erasing stack (emitted letters, positions of the
+    unflipped 1s) after s and walks every t in T as a trie, undoing each
+    letter on the way back; route B is erase_fin(s) . erase_fin(t)."""
     bound = 6 if bound is None else bound
     col = _Collector()
-    words = [w for w in _words3_up_to(bound) if _t_raw(w)]
-    images = {w: _erase_raw(w) for w in words}
-    misses = 0
-    erase = _erase_raw
-    for s in words:
-        es = images[s]
-        for t in words:
-            if erase(s + t) != es + images[t]:
-                misses += 1
-                col.fail_only(
-                    "".join(map(str, s)) + "|" + "".join(map(str, t)),
-                    es + images[t],
-                    erase(s + t),
-                )
-    col.bulk_pass(len(words) * len(words) - misses)
+    words = [w for w in _words3_up_to(bound) if t_member(w)]
+    images = [erase_fin(w).letters for w in words]
+    walk = _trie_walk(words)
+    for s, es in zip(words, images):
+        emitted, live, flipped = [], [], []
+        for x in s:
+            if x == 2:
+                emitted[live.pop()] = 0
+            else:
+                if x == 1:
+                    live.append(len(emitted))
+                emitted.append(x)
+        got = tuple(emitted)
+        bad = [] if got == es + images[0] else [(0, got)]
+        for x, i in walk:
+            if i is None:
+                if x == 2:
+                    pos = flipped.pop()
+                    emitted[pos] = 1
+                    live.append(pos)
+                else:
+                    emitted.pop()
+                    if x == 1:
+                        live.pop()
+                continue
+            if x == 2:
+                pos = live.pop()
+                emitted[pos] = 0
+                flipped.append(pos)
+            else:
+                if x == 1:
+                    live.append(len(emitted))
+                emitted.append(x)
+            got = tuple(emitted)
+            if got != es + images[i]:
+                bad.append((i, got))
+        # the walk meets the t in depth-first order; report them in words order
+        for i, got in sorted(bad):
+            col.fail_only(
+                "".join(map(str, s)) + "|" + "".join(map(str, words[i])),
+                es + images[i],
+                got,
+            )
+        col.bulk_pass(len(words) - len(bad))
     return {"bound": bound, "words": len(words)}, col
 
 

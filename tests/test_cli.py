@@ -1,8 +1,11 @@
 """Command line surface: verbs, literals, exit codes, verify reports."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +156,47 @@ def test_verify_inconclusive_exit(capsys):
     )
     assert code == 3
     assert "inconclusive" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["member", "--lang", "pi", "--word", "0"],
+        ["omega-member", "--construction", "theorem2", "--input", "(2)"],
+        ["verify", "--suite", "knj-roundtrip", "--bound", "5"],
+    ],
+)
+def test_unreadable_tree_file_is_a_usage_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    for source in (tmp_path / "missing.json", bad):
+        code, out, err = run(capsys, *argv, "--rtree", str(source))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "\n" not in err
+
+
+def test_negative_budget_is_a_usage_error(capsys):
+    for argv in (
+        ["omega-member", "--construction", "sigma2", "--input", "(1122)"],
+        ["verify", "--suite", "sigma2-main", "--bound", "1"],
+    ):
+        code, out, err = run(capsys, *argv, "--budget", "-1")
+        assert code == 2 and out == ""
+        assert "--budget" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "omegapower", "erase", "--word", "112"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "10"
 
 
 @pytest.mark.skipif(shutil.which("omegapower") is None, reason="script not on PATH")

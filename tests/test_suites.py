@@ -1,12 +1,16 @@
 """Verification suites: report shape, determinism, and small-bound runs of
 every registered suite."""
 
+import itertools
 import json
 
 import pytest
 
 from omegapower import SUITES, WorkbenchError, run_suite
+from omegapower import suites
+from omegapower.erasing import erase_fin
 from omegapower.suites import SuiteReport, _Collector
+from omegapower.words import FiniteWord
 
 
 def test_registry():
@@ -108,3 +112,78 @@ def test_sigma2_suite_small_budget_reports_inconclusive_rate():
     assert report.cases_failed == 0
     assert report.cases_inconclusive > 0
     assert report.verdict == "inconclusive"
+
+
+def _erase_per_pair(letters):
+    emitted = []
+    live = []
+    for x in letters:
+        if x == 2:
+            emitted[live.pop()] = 0
+        elif x == 1:
+            live.append(len(emitted))
+            emitted.append(1)
+        else:
+            emitted.append(0)
+    return tuple(emitted)
+
+
+def _erase_homomorphism_reference(bound):
+    """The per-pair formulation: erase(s+t) from scratch for every pair,
+    against the images of suites.erase_fin (looked up at call time, so a
+    patched map reaches both this and the suite)."""
+    col = _Collector()
+    words = [
+        w
+        for n in range(bound + 1)
+        for w in itertools.product((0, 1, 2), repeat=n)
+        if all(w[:k].count(1) >= w[:k].count(2) for k in range(n + 1))
+    ]
+    images = {w: suites.erase_fin(w).letters for w in words}
+    misses = 0
+    for s in words:
+        for t in words:
+            got = _erase_per_pair(s + t)
+            if got != images[s] + images[t]:
+                misses += 1
+                col.fail_only(
+                    "".join(map(str, s)) + "|" + "".join(map(str, t)),
+                    images[s] + images[t],
+                    got,
+                )
+    col.bulk_pass(len(words) * len(words) - misses)
+    params = {"bound": bound, "words": len(words)}
+    return SuiteReport("erase-homomorphism", params, col, 0)
+
+
+@pytest.mark.parametrize("bound", range(6))
+def test_erase_homomorphism_matches_the_per_pair_reference(bound):
+    report = run_suite("erase-homomorphism", bound=bound)
+    assert report.verdict == "pass"
+    assert report.to_json() == _erase_homomorphism_reference(bound).to_json()
+
+
+def _erase_keeping_a_leading_one(w):
+    # faulty map: the 2 that should flip a leading 1 leaves it standing
+    image = list(erase_fin(w).letters)
+    if tuple(w)[:1] == (1,):
+        image[0] = 1
+    return FiniteWord(image, 2)
+
+
+def test_erase_homomorphism_reports_a_faulty_map_like_the_reference(monkeypatch):
+    monkeypatch.setattr(suites, "erase_fin", _erase_keeping_a_leading_one)
+    report = run_suite("erase-homomorphism", bound=4)
+    want = _erase_homomorphism_reference(4)
+    assert report.verdict == "fail"
+    assert report.cases_failed == want.cases_failed > 10
+    assert report.counterexamples == want.counterexamples
+    assert report.to_json() == want.to_json()
+
+
+def test_words3_corpus_is_lazy_and_ordered():
+    corpus = suites._words3_up_to(3)
+    assert iter(corpus) is corpus
+    listed = list(corpus)
+    assert listed == sorted(listed, key=lambda w: (len(w), w))
+    assert len(listed) == len(set(listed)) == 1 + 3 + 9 + 27
