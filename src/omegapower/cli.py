@@ -9,6 +9,7 @@ Exit codes: 0 true/pass, 1 false/fail, 2 usage or domain error,
 """
 
 import argparse
+import math
 import sys
 
 from . import pairs
@@ -49,6 +50,8 @@ _MEMBER_LANGS = {
     "A4": (4, lambda w, r: a_member(w, r)),
 }
 
+_TREE_LANGS = ("pi", "A4")
+
 _OMEGA_SIZES = {
     "sigma2": 3,
     "xi1-sigma": 2,
@@ -58,7 +61,7 @@ _OMEGA_SIZES = {
 }
 
 
-def _budget(text):
+def _count(text):
     try:
         value = int(text)
     except ValueError:
@@ -98,13 +101,13 @@ def _build_parser():
     )
     p_omega.add_argument("--input", required=True, help="lasso or K[N,j]m literal")
     p_omega.add_argument("--rtree", default="full")
-    p_omega.add_argument("--budget", type=_budget, default=10_000)
+    p_omega.add_argument("--budget", type=_count, default=10_000)
 
     p_verify = sub.add_parser("verify", help="run a dual-route suite")
     p_verify.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p_verify.add_argument("--bound", type=int)
+    p_verify.add_argument("--bound", type=_count)
     p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--budget", type=_budget)
+    p_verify.add_argument("--budget", type=_count)
     p_verify.add_argument("--rtree", default="full")
     p_verify.add_argument("--out", help="write the JSON report here")
     return parser
@@ -120,8 +123,13 @@ def _finite_arg(text, size):
 def _cmd_enum(args):
     if args.what == "q":
         print(pairs.q_of_index(args.index))
-    else:
-        print(pairs.m_offset(args.j))
+        return 0
+    # M_j has about (j+1) log10(4) digits; refuse before building one that
+    # cannot be printed
+    limit = sys.get_int_max_str_digits()
+    if limit and (args.j + 1) * math.log10(4) - math.log10(3) >= limit:
+        raise WorkbenchError(f"M_j for j = {args.j} has more than {limit} digits")
+    print(pairs.m_offset(args.j))
     return 0
 
 
@@ -143,7 +151,7 @@ def _cmd_erase(args):
 def _cmd_member(args):
     size, fn = _MEMBER_LANGS[args.lang]
     w = _finite_arg(args.word, size)
-    tree = load_tree(args.rtree)
+    tree = load_tree(args.rtree) if args.lang in _TREE_LANGS else None
     verdict = fn(w, tree)
     print("true" if verdict else "false")
     return 0 if verdict else 1
@@ -182,15 +190,25 @@ def _cmd_omega(args):
 
 def _cmd_verify(args):
     tree = load_tree(args.rtree)
-    report = run_suite(
-        args.suite, bound=args.bound, seed=args.seed, tree=tree, budget=args.budget
-    )
+    out = None
+    if args.out:
+        # open before the run, so a bad path fails at once
+        try:
+            out = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise WorkbenchError(f"cannot write {args.out!r}: {exc.strerror}") from None
+    try:
+        report = run_suite(
+            args.suite, bound=args.bound, seed=args.seed, tree=tree, budget=args.budget
+        )
+        if out:
+            out.write(report.to_json())
+    finally:
+        if out:
+            out.close()
     print(report.summary())
     for literal, expected, got in report.counterexamples:
         print(f"  counterexample {literal}: expected {expected}, got {got}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
     if report.cases_failed:
         return 1
     if report.cases_inconclusive:

@@ -14,11 +14,11 @@ positive.  A is {0}, E, and the chains (c_0 1)(c_1 1)...(c_k 1) with each
 c_i a product of {0}-letters and E-words, the single word "1" excluded.
 
 a3_omega_member decides membership of a lasso in the omega-power of A with
-a factor machine whose only unbounded part is the E-depth counter; the
-counter exits on a genuine zero test, so pumping is unsound and the search
-certifies YES on an exact counter-capped graph and NO on a collapsing
-over-approximation.  e_preimage_check answers the same question through
-the erasing map; the two never consult each other.
+a factor machine whose only unbounded part is the E-depth counter; a
+static depth cap makes the search exact, and one bit-parallel sweep of the
+cycle summarizes the lasso product at the cycle boundary.
+e_preimage_check answers the same question through the erasing map; the
+two never consult each other.
 """
 
 from .errors import NotInT, WorkbenchError
@@ -271,166 +271,152 @@ def b2_omega_member(w: LassoWord) -> bool:
 
 # ------------------------------------------------------- omega-power of A
 
-def _machine_steps(ctrl, letter):
-    """Factor machine for products of A-words.
+def _summaries(letters, cap, lanes):
+    """Sweep the factor machine over letters from several controls at once.
 
-    Controls: C between words, S between the (c 1) groups of a chain word,
-    (E, ctx, d) inside an E-factor at depth d, where ctx records whether
-    finishing the factor may close an A-word (started at C) or only a
-    group (started inside a chain).  Yields (ctrl', word_completed)."""
-    kind = ctrl[0]
-    if kind == "C":
-        if letter == 0:
-            yield ("C",), True  # the word 0
-            yield ("S",), False  # 0 opens a chain group
-        elif letter == 1:
-            yield ("E", "c", 1), False  # E-word as the whole A-word, or its head
-            yield ("S",), False  # bare 1 closes the first chain group
-    elif kind == "S":
-        if letter == 0:
-            yield ("S",), False
-        elif letter == 1:
-            yield ("S",), False  # group closed, chain continues
-            yield ("C",), True  # group closed, chain word complete
-            yield ("E", "s", 1), False
-    else:
-        _, ctx, d = ctrl
-        if letter == 0:
-            yield ctrl, False
-        elif letter == 1:
-            yield ("E", ctx, d + 1), False
+    The factor machine for products of A-words has the controls C (between
+    words), S (between the (c 1) groups of a chain word) and E(ctx, d)
+    (inside an E-factor at depth d, where ctx = c if closing the factor may
+    finish an A-word started at C, and ctx = s inside a chain).  Capped at
+    depth cap they are numbered 0 = C, 1 = S, 1+d = E(c, d) and cap+1+d =
+    E(s, d) for d = 1..cap.
+
+    Each entry of lanes is a start control and owns one lane, cap+1 bits
+    wide, of eight ints: C, S, E(c, .) and E(s, .), each once for runs with
+    no completed word yet (*0) and once for runs with one (*1).  C and S use
+    bit 0 of a lane; E(ctx, d) uses bit d.  A letter 1 shifts the E ints
+    left and the lane mask drops depths above cap; a letter 2 shifts them
+    right, and what lands on bit 0 is a closed E-factor.  Returns, per
+    lane, the mask of controls reachable after letters and the mask of
+    those reachable through a completed word."""
+    w = cap + 1
+    low = ((1 << (len(lanes) * w)) - 1) // ((1 << w) - 1)  # bit 0 of every lane
+    body = low * ((1 << w) - 2)  # bits 1..cap of every lane
+    c0 = s0 = e0 = f0 = 0
+    for i, x in enumerate(lanes):
+        if x == 0:
+            c0 |= 1 << (i * w)
+        elif x == 1:
+            s0 |= 1 << (i * w)
+        elif x <= w:
+            e0 |= 1 << (i * w + x - 1)
         else:
-            if d > 1:
-                yield ("E", ctx, d - 1), False
-            elif ctx == "c":
-                yield ("C",), True  # the E-word was a whole A-word
-                yield ("S",), False  # ... or the head of a chain group
-            else:
-                yield ("S",), False
-
-
-def _abstract_steps(ctrl, letter, cap):
-    """Over-approximation: depths above cap collapse to HI, and HI may
-    nondeterministically re-enter at the cap on a 2."""
-    if ctrl[0] == "E" and ctrl[2] == "hi":
-        _, ctx, _ = ctrl
-        if letter == 0:
-            yield ctrl, False
-        elif letter == 1:
-            yield ctrl, False
+            f0 |= 1 << (i * w + x - w)
+    c1 = s1 = e1 = f1 = 0
+    for x in letters:
+        if x == 0:
+            # C reads the word 0 or opens a chain group; S and E stay
+            s0 |= c0
+            s1 |= c1
+            c0, c1 = 0, c0 | c1
+        elif x == 1:
+            # C opens E(c, 1) or closes the first group with a bare 1; S
+            # closes a group (continuing or finishing the chain) or opens
+            # E(s, 1); E goes one deeper
+            e0 = (e0 << 1 & body) | c0 << 1
+            e1 = (e1 << 1 & body) | c1 << 1
+            f0 = (f0 << 1 & body) | s0 << 1
+            f1 = (f1 << 1 & body) | s1 << 1
+            c0, c1, s0, s1 = 0, s0 | s1, c0 | s0, c1 | s1
         else:
-            yield ctrl, False
-            yield ("E", ctx, cap), False
-        return
-    for nxt, done in _machine_steps(ctrl, letter):
-        if nxt[0] == "E" and nxt[2] > cap:
-            yield ("E", nxt[1], "hi"), done
-        else:
-            yield nxt, done
+            # C and S die; E goes one shallower, and E(c, 1) closes into C
+            # (a finished A-word) or S, E(s, 1) into S
+            e0 >>= 1
+            e1 >>= 1
+            f0 >>= 1
+            f1 >>= 1
+            c0, c1 = 0, (e0 | e1) & low
+            s0, s1 = (e0 | f0) & low, (e1 | f1) & low
+            e0 &= body
+            e1 &= body
+            f0 &= body
+            f1 &= body
+    mask = (1 << w) - 1
+    rows = []
+    for i in range(len(lanes)):
+        at = i * w
+        done = (
+            (c1 >> at & 1)
+            | (s1 >> at & 1) << 1
+            | (e1 >> at & mask) << 1
+            | (f1 >> at & mask) << w
+        )
+        reach = (
+            done
+            | (c0 >> at & 1)
+            | (s0 >> at & 1) << 1
+            | (e0 >> at & mask) << 1
+            | (f0 >> at & mask) << w
+        )
+        rows.append((reach, done))
+    return rows
 
 
-def _accepting_cycle(start, expand):
-    """Reachable cycle containing a word-completion edge (Tarjan SCCs)."""
-    graph = {}
-    stack = [start]
-    seen = {start}
-    while stack:
-        node = stack.pop()
-        outs = list(expand(node))
-        graph[node] = outs
-        for nxt, _ in outs:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    index = {}
-    low = {}
-    comp = {}
-    counter = [0]
-    ncomp = [0]
-    for root in graph:
-        if root in index:
-            continue
-        work = [(root, iter(graph[root]))]
-        path = [root]
-        on = {root}
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt, _ in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    work.append((nxt, iter(graph[nxt])))
-                    path.append(nxt)
-                    on.add(nxt)
-                    advanced = True
-                    break
-                if nxt in on:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                while True:
-                    member = path.pop()
-                    on.discard(member)
-                    comp[member] = ncomp[0]
-                    if member == node:
-                        break
-                ncomp[0] += 1
-    for node, outs in graph.items():
-        for nxt, done in outs:
-            if done and comp[node] == comp[nxt]:
-                return True
-    return False
+def _warshall(rows):
+    """Transitive closure of a graph given as bitmask rows: bit j of rows[i]
+    is an edge i -> j (Warshall, JACM 1962).  Closes rows in place."""
+    for k, row in enumerate(rows):
+        bit = 1 << k
+        for i, r in enumerate(rows):
+            if r & bit:
+                rows[i] = r | row
+    return rows
+
+
+def _accepts(u, v, cap):
+    """Whether the factor machine, capped at depth cap, has a run on u(v)
+    that completes infinitely many words.
+
+    Every cycle of the lasso product passes the first cycle position, so
+    the search runs on the 2 cap + 2 controls there: one sweep of v gives,
+    for each, the controls it reaches and those it reaches through a
+    completed word; Warshall closes the reach rows; a run exists iff a
+    control reachable from the end of u has a completing edge back into
+    its own strongly connected part."""
+    nodes = range(2 * cap + 2)
+    rows = _summaries(v, cap, nodes)
+    reach = _warshall([r for r, _ in rows])
+
+    def star(mask):
+        out = mask
+        while mask:
+            y = (mask & -mask).bit_length() - 1
+            out |= reach[y]
+            mask &= mask - 1
+        return out
+
+    (start, _), = _summaries(u, cap, (0,))
+    seen = star(start)
+    return any(seen >> x & 1 and star(rows[x][1]) >> x & 1 for x in nodes)
 
 
 def a3_omega_member(a: LassoWord, budget: int = 10_000) -> Member:
-    """Membership of a T-lasso in the omega-power of A.
+    """Membership of a T-lasso u(v) in the omega-power of A.
 
-    Exact counter-capped search certifies yes; the HI-abstraction with no
-    accepting cycle certifies no; caps escalate up to the budget."""
+    The lasso is in A^omega iff the factor machine (see _summaries) has a
+    run on it that completes infinitely many words.  Such a run never goes
+    deeper than the cap c = max(1, (|u|+|v|) // 2):
+
+    - E controls leave only by closing, so in a run with infinitely many
+      completions every E-factor closes.
+    - Let w_i..w_j be a factor and c(k) the count of 1s minus 2s in
+      w_1..w_k.  Then c(k) > c(i-1) for i <= k < j, and c(j) = c(i-1).
+    - For k >= |u|, c(k+|v|) = c(k) + b with cycle balance b >= 0.  So if
+      j-|v| >= max(i, |u|+1), then c(j-|v|) <= c(i-1), against the
+      positivity of the interior.
+    - Hence the factor has length L <= |u|+|v|, and its depth, which must
+      come back down to 0, is at most L/2.
+
+    budget bounds the depth: if c exceeds it, the search runs at depth
+    max(budget, 1); a YES found there stands, anything else is
+    INCONCLUSIVE."""
     if not t_member(a):
         raise NotInT(f"{a} has a prefix with more 2s than 1s")
     u, v = a.spoke.letters, a.cycle.letters
-    total = len(u) + len(v)
-
-    def letter(pos):
-        return u[pos] if pos < len(u) else v[pos - len(u)]
-
-    def advance(pos):
-        nxt = pos + 1
-        return nxt if nxt < total else len(u)
-
-    cap = 16
-    while True:
-        cap = min(cap, max(budget, 1))
-
-        def exact(node):
-            pos, ctrl = node
-            for nxt, done in _machine_steps(ctrl, letter(pos)):
-                if nxt[0] == "E" and nxt[2] > cap:
-                    continue
-                yield (advance(pos), nxt), done
-
-        if _accepting_cycle((0, ("C",)), exact):
-            return Member.YES
-
-        def abstract(node):
-            pos, ctrl = node
-            for nxt, done in _abstract_steps(ctrl, letter(pos), cap):
-                yield (advance(pos), nxt), done
-
-        if not _accepting_cycle((0, ("C",)), abstract):
-            return Member.NO
-        if cap >= budget:
-            return Member.INCONCLUSIVE
-        cap *= 4
+    cap = max(1, (len(u) + len(v)) // 2)
+    if cap <= budget:
+        return Member.of(_accepts(u, v, cap))
+    return Member.YES if _accepts(u, v, max(budget, 1)) else Member.INCONCLUSIVE
 
 
 def e_preimage_check(a: LassoWord, budget: int = 4096) -> Member:

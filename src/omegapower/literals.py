@@ -20,7 +20,7 @@ EPSILON = "ε"
 
 
 def _digits(text):
-    return tuple(int(c) for c in text)
+    return tuple([int(c) for c in text])  # exact size, see FiniteWord
 
 
 def parse_word_literal(text: str, size: int = 4):

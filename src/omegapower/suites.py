@@ -51,11 +51,14 @@ class _Collector:
         self.examples = []
 
     def case(self, literal, expected, got):
-        self.total += 1
-        if expected != got:
+        if expected == got:
+            self.total += 1
+        else:
             self.fail_only(literal, expected, got)
 
     def fail_only(self, literal, expected, got):
+        """A failed case; bulk suites add their passes with bulk_pass."""
+        self.total += 1
         self.failed += 1
         if len(self.examples) < EXAMPLE_CAP:
             self.examples.append([str(literal), str(expected), str(got)])

@@ -22,10 +22,14 @@ class FiniteWord:
     __slots__ = ("letters", "size")
 
     def __init__(self, letters=(), size=None):
+        # exact-size tuples, and a tuple of ints is kept as it is:
+        # tuple(genexpr) grows its result by resizing
         if isinstance(letters, str):
-            letters = tuple(int(c) for c in letters)
+            letters = tuple([int(c) for c in letters])
         else:
-            letters = tuple(int(x) for x in letters)
+            letters = tuple(letters)
+            if not all(type(x) is int for x in letters):
+                letters = tuple([int(x) for x in letters])
         if size is None:
             size = max(2, max(letters) + 1) if letters else 2
         if not 2 <= size <= 4:
@@ -106,8 +110,8 @@ def _letters(x):
     if isinstance(x, FiniteWord):
         return x.letters
     if isinstance(x, str):
-        return tuple(int(c) for c in x)
-    return tuple(int(v) for v in x)
+        return tuple([int(c) for c in x])
+    return tuple([int(v) for v in x])
 
 
 class LassoWord:

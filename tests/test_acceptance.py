@@ -2,9 +2,17 @@
 tolerance via the public suite runner, so `pytest -v tests/test_acceptance.py`
 prints one pass/fail line per criterion."""
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 from omegapower import QPair, m_offset, q_of_index, run_suite
+
+# the recorded gate reports: case count and sha256 of the canonical JSON
+EXPECTED = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()
+)["suites"]
 
 
 def timed(name, **params):
@@ -12,6 +20,9 @@ def timed(name, **params):
     report = run_suite(name, **params)
     elapsed = time.monotonic() - t0
     print(f"{report.summary()} [{elapsed:.2f}s wall]")
+    want = EXPECTED[name]
+    assert report.cases_total == want["cases_total"]
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == want["sha256"]
     return report, elapsed
 
 

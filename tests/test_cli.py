@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from omegapower.cli import main
+from omegapower.pairs import m_offset
 
 
 def run(capsys, *argv):
@@ -183,6 +184,50 @@ def test_negative_budget_is_a_usage_error(capsys):
         code, out, err = run(capsys, *argv, "--budget", "-1")
         assert code == 2 and out == ""
         assert "--budget" in err
+
+
+def test_member_reads_the_tree_only_where_it_is_used(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert run(capsys, "member", "--lang", "E", "--word", "12", "--rtree", missing)[0] == 0
+    assert run(capsys, "member", "--lang", "pi", "--word", "0", "--rtree", missing)[0] == 2
+    assert run(capsys, "member", "--lang", "A4", "--word", "0", "--rtree", missing)[0] == 2
+
+
+def test_unwritable_report_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run(
+        capsys, "verify", "--suite", "knj-roundtrip", "--bound", "5", "--out", str(target)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "\n" not in err
+    assert not target.parent.exists()
+
+
+def test_negative_bound_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "knj-roundtrip", "--bound", "-1")
+    assert code == 2 and out == ""
+    assert "--bound" in err
+
+
+def test_block_offset_too_long_to_print_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "enum", "m", "--j", "100000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "\n" not in err
+    # the refusal starts exactly where M_j stops fitting the print limit
+    limit = sys.get_int_max_str_digits()
+    for j in range(7130, 7150):
+        code, out, _ = run(capsys, "enum", "m", "--j", str(j))
+        fits = not limit or m_offset(j) < 10**limit
+        assert code == (0 if fits else 2), j
+
+
+def test_sigma2_budget_below_the_depth_cap_is_inconclusive(capsys):
+    # 1(12) needs depth 1 of the cap max(1, 3 // 2); budget 0 cannot settle
+    # its no
+    argv = ["omega-member", "--construction", "sigma2", "--input", "1(12)"]
+    assert run(capsys, *argv, "--budget", "1") == (1, "no", "")
+    assert run(capsys, *argv, "--budget", "0") == (3, "inconclusive", "")
+    assert run(capsys, *argv[:-1], "(12)", "--budget", "0") == (0, "yes", "")
 
 
 def test_python_dash_m_runs_the_cli():

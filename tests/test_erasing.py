@@ -6,6 +6,8 @@ import itertools
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegapower import (
     FiniteWord,
@@ -27,7 +29,7 @@ from omegapower import (
     t_member,
     word,
 )
-from omegapower.erasing import EraseState
+from omegapower.erasing import EraseState, _accepts, _summaries, _warshall
 from omegapower.oracles import stabilized_erase_prefix
 
 
@@ -221,6 +223,129 @@ def test_a3_omega_frozen():
 
 def test_a3_omega_budget_exhaustion_is_honest():
     assert a3_omega_member(lasso("(1122)"), budget=1) is Member.INCONCLUSIVE
+
+
+def _machine_steps(ctrl, letter):
+    """Set-based reference for the factor machine over products of A-words.
+
+    Controls: C between words, S between the (c 1) groups of a chain word,
+    (E, ctx, d) inside an E-factor at depth d, where ctx records whether
+    finishing the factor may close an A-word (started at C) or only a
+    group (started inside a chain).  Yields (ctrl', word_completed)."""
+    kind = ctrl[0]
+    if kind == "C":
+        if letter == 0:
+            yield ("C",), True  # the word 0
+            yield ("S",), False  # 0 opens a chain group
+        elif letter == 1:
+            yield ("E", "c", 1), False  # E-word as the whole A-word, or its head
+            yield ("S",), False  # bare 1 closes the first chain group
+    elif kind == "S":
+        if letter == 0:
+            yield ("S",), False
+        elif letter == 1:
+            yield ("S",), False  # group closed, chain continues
+            yield ("C",), True  # group closed, chain word complete
+            yield ("E", "s", 1), False
+    else:
+        _, ctx, d = ctrl
+        if letter == 0:
+            yield ctrl, False
+        elif letter == 1:
+            yield ("E", ctx, d + 1), False
+        else:
+            if d > 1:
+                yield ("E", ctx, d - 1), False
+            elif ctx == "c":
+                yield ("C",), True  # the E-word was a whole A-word
+                yield ("S",), False  # ... or the head of a chain group
+            else:
+                yield ("S",), False
+
+
+def _control(i, cap):
+    if i < 2:
+        return (("C",), ("S",))[i]
+    if i <= cap + 1:
+        return ("E", "c", i - 1)
+    return ("E", "s", i - cap - 1)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 5])
+def test_lane_sweep_matches_the_set_machine(cap):
+    # one lane per control up to depth cap, swept together, must give the
+    # set image of the reference machine with depths above cap dropped;
+    # words of length 1 check the lane step of each letter
+    nodes = range(2 * cap + 2)
+    index = {_control(i, cap): i for i in nodes}
+    for n in range(1, 5):
+        for letters in itertools.product((0, 1, 2), repeat=n):
+            rows = _summaries(letters, cap, nodes)
+            for x in nodes:
+                runs = {(_control(x, cap), False)}
+                for letter in letters:
+                    runs = {
+                        (nxt, done or completed)
+                        for ctrl, done in runs
+                        for nxt, completed in _machine_steps(ctrl, letter)
+                        if nxt in index
+                    }
+                reach = sum({1 << index[c] for c, _ in runs})
+                done = sum({1 << index[c] for c, d in runs if d})
+                assert rows[x] == (reach, done), (letters, x)
+
+
+def test_warshall_closes_long_cycles():
+    # no T-lasso is known whose verdict needs a boundary path of more than
+    # two steps, so the closure is pinned on graphs of its own
+    assert _warshall([0b0010, 0b0100, 0b1000, 0b0001]) == [0b1111] * 4
+    assert _warshall([0b0010, 0b0100, 0b1000, 0]) == [0b1110, 0b1100, 0b1000, 0]
+    assert _warshall([0b10, 0b10]) == [0b10, 0b10]
+
+
+def test_depth_cap_is_complete():
+    # the docstring's cap c = max(1, (|u|+|v|) // 2) loses no run: eight
+    # more levels of depth change no verdict
+    for w in corpus_lassos(3, 4, 4, t_member):
+        u, v = w.spoke.letters, w.cycle.letters
+        cap = max(1, (len(u) + len(v)) // 2)
+        assert _accepts(u, v, cap) == _accepts(u, v, cap + 8), str(w)
+
+
+@st.composite
+def t_lassos(draw):
+    """Lassos over {0,1,2} with |u|, |v| <= 24, repaired into T: a 2 that
+    would take the counter below 0 becomes a 1, and so do the last 2s of a
+    cycle that loses ground; half of them start with a 1, where the only NO
+    answers live."""
+    def letters(least):
+        n = draw(st.integers(least, 24))
+        return draw(st.lists(st.sampled_from((0, 1, 2)), min_size=n, max_size=n))
+
+    u = letters(0)
+    v = letters(1)
+    if draw(st.booleans()):
+        u = [1] + u[:23]
+    c = 0
+    word = u + v
+    for k, x in enumerate(word):
+        if x == 2 and c == 0:
+            word[k] = x = 1
+        c += (x == 1) - (x == 2)
+    u, v = word[: len(u)], word[len(u) :]
+    for k in reversed(range(len(v))):
+        if v.count(1) >= v.count(2):
+            break
+        if v[k] == 2:
+            v[k] = 1
+    return LassoWord(u, v, size=3)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(t_lassos())
+def test_a3_omega_agrees_with_the_erased_image(w):
+    assert t_member(w)
+    assert a3_omega_member(w) is e_preimage_check(w)
 
 
 def test_e_preimage_frozen():

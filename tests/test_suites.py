@@ -8,7 +8,7 @@ import pytest
 
 from omegapower import SUITES, WorkbenchError, run_suite
 from omegapower import suites
-from omegapower.erasing import erase_fin
+from omegapower.erasing import e_counter_member, erase_fin
 from omegapower.suites import SuiteReport, _Collector
 from omegapower.words import FiniteWord
 
@@ -179,6 +179,22 @@ def test_erase_homomorphism_reports_a_faulty_map_like_the_reference(monkeypatch)
     assert report.cases_failed == want.cases_failed > 10
     assert report.counterexamples == want.counterexamples
     assert report.to_json() == want.to_json()
+
+
+def test_failed_cases_count_in_the_total(monkeypatch):
+    # a bulk suite's total is its number of cases, however many fail
+    monkeypatch.setattr(suites, "erase_fin", _erase_keeping_a_leading_one)
+    report = run_suite("erase-homomorphism", bound=4)
+    assert report.cases_failed > 0
+    assert report.cases_total == report.parameters["words"] ** 2 == 3136
+
+    def counter_without_the_word_12(w):
+        return tuple(w) != (1, 2) and e_counter_member(w)
+
+    monkeypatch.setattr(suites, "e_counter_member", counter_without_the_word_12)
+    report = run_suite("E-dual-characterization", bound=5)
+    assert report.cases_failed == 1
+    assert report.cases_total == (3**6 - 1) // 2
 
 
 def test_words3_corpus_is_lazy_and_ordered():

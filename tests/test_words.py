@@ -30,6 +30,15 @@ from omegapower import (
 from omegapower.oracles import brute_normalize_parts
 
 
+def test_finite_word_letters_are_plain_ints():
+    letters = (0, 1, 2)
+    assert FiniteWord(letters, 3).letters is letters
+    for given_letters in ([True, 0], (True, 0), "10", iter([1, 0])):
+        w = FiniteWord(given_letters, 2)
+        assert w.letters == (1, 0) and str(w) == "10"
+        assert all(type(x) is int for x in w.letters)
+
+
 def test_finite_word_basics():
     w = word("0123")
     assert len(w) == 4
