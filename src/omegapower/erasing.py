@@ -404,8 +404,9 @@ def a3_omega_member(a: LassoWord, budget: int = 10_000) -> Member:
     - For k >= |u|, c(k+|v|) = c(k) + b with cycle balance b >= 0.  So if
       j-|v| >= max(i, |u|+1), then c(j-|v|) <= c(i-1), against the
       positivity of the interior.
-    - Hence the factor has length L <= |u|+|v|, and its depth, which must
-      come back down to 0, is at most L/2.
+    - Hence L = j-i+1 <= |v| or j <= |u|+|v|; either way L <= |u|+|v|,
+      and the factor's depth, which must come back down to 0, is at most
+      L/2.
 
     budget bounds the depth: if c exceeds it, the search runs at depth
     max(budget, 1); a YES found there stands, anything else is
