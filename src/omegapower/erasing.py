@@ -26,11 +26,17 @@ from .verdicts import UNDETERMINED, Member
 from .words import FiniteWord, LassoWord
 
 
+_LETTERS3 = frozenset((0, 1, 2))
+
+
 def _letters3(w) -> tuple:
     letters = w.letters if isinstance(w, FiniteWord) else tuple(w)
-    for x in letters:
-        if x not in (0, 1, 2):
-            raise WorkbenchError("expected a word over {0,1,2}")
+    try:
+        ok = _LETTERS3.issuperset(letters)
+    except TypeError:  # an unhashable letter
+        ok = False
+    if not ok:
+        raise WorkbenchError("expected a word over {0,1,2}")
     return letters
 
 
@@ -192,9 +198,9 @@ def e_def_member(s: FiniteWord) -> bool:
     letters = _letters3(s)
     if not letters:
         return False
-    if not t_member(s):
-        return False
     if letters.count(1) != letters.count(2):
+        return False
+    if not t_member(s):
         return False
     front = erase_fin(FiniteWord(letters[:-1], 3))
     return len(front) > 0 and front.letters[0] == 1

@@ -64,15 +64,14 @@ def m_index(value: int):
 
 
 def _bits_of(value: int, width: int) -> Bits:
-    return tuple((value >> (width - 1 - k)) & 1 for k in range(width))
+    return tuple([(value >> (width - 1 - k)) & 1 for k in range(width)])
 
 
 def q_of_index(n: int) -> QPair:
     if n < 0:
         raise WorkbenchError("pair index must be nonnegative")
-    length = 0
-    while m_offset(length) < n:
-        length += 1
+    # the smallest L with M_L >= n: 4^(L+1) >= 3n + 4, i.e. 2L + 2 >= bits of 3n + 3
+    length = max(0, ((3 * n + 3).bit_length() + 1) // 2 - 1)
     if length == 0:
         return QPair((), ())
     rank = n - m_offset(length - 1) - 1

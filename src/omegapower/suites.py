@@ -66,6 +66,11 @@ class _Collector:
     def bulk_pass(self, count):
         self.total += count
 
+    def bulk_fail(self, count):
+        """Failed cases past the ones a bulk suite reports with fail_only."""
+        self.total += count
+        self.failed += count
+
     def undecided(self, literal):
         self.total += 1
         self.inconclusive += 1
@@ -133,20 +138,20 @@ def _words3_up_to(bound):
 
 
 def _trie_walk(words):
-    """Depth-first steps over a prefix-closed list of words: (x, i) enters
-    words[i] by its last letter x, (x, None) leaves it again."""
+    """Depth-first steps over a prefix-closed list of words, children by
+    letter: (x, i) enters words[i] by its last letter x, (x, None) leaves it
+    again.  The walk starts with (None, i) at the empty word."""
     index = {w: i for i, w in enumerate(words)}
     walk = []
-
-    def visit(w):
-        for x in (0, 1, 2):
-            i = index.get(w + (x,))
-            if i is not None:
-                walk.append((x, i))
-                visit(words[i])
-                walk.append((x, None))
-
-    visit(())
+    path = ()
+    # lexicographic order is the trie's preorder
+    for w in sorted(words):
+        while path != w[: len(path)]:
+            walk.append((path[-1], None))
+            path = path[:-1]
+        walk.append((w[-1] if w else None, index[w]))
+        path = w
+    walk.extend((x, None) for x in reversed(path))
     return walk
 
 
@@ -190,56 +195,128 @@ def _suite_pair_enum_roundtrip(bound, seed, tree, budget):
     return {"bound": bound}, col
 
 
+def _lane_bits(letters):
+    """A binary word as an int whose bit q is letter q."""
+    return sum(x << q for q, x in enumerate(letters))
+
+
+def _failing_lanes(diff, val, pos, width):
+    """(k, got) for each lane k with a bit set in diff; got is the word that
+    lane k of val holds, its length marked by the lane's bit in pos."""
+    lane = (1 << width) - 1
+    k = 0
+    while diff:
+        skip = ((diff & -diff).bit_length() - 1) // width
+        k += skip
+        diff >>= skip * width
+        val >>= skip * width
+        pos >>= skip * width
+        got = val & lane
+        yield k, tuple((got >> q) & 1 for q in range((pos & lane).bit_length() - 1))
+        k += 1
+        diff >>= width
+        val >>= width
+        pos >>= width
+
+
+def _lanes_set(diff, width, lows):
+    """How many lanes of diff have a bit set; lows holds bit 0 of every lane."""
+    span = 1
+    while span < width:  # fold each lane's bits down onto its bit 0
+        step = min(span, width - span)
+        diff |= diff >> step
+        span += step
+    return (diff & lows).bit_count()
+
+
 def _suite_erase_homomorphism(bound, seed, tree, budget):
-    """Route A resumes an erasing stack (emitted letters, positions of the
-    unflipped 1s) after s and walks every t in T as a trie, undoing each
-    letter on the way back; route B is erase_fin(s) . erase_fin(t)."""
+    """erase(s . t) against erase_fin(s) . erase_fin(t) for every pair of
+    T-words up to the bound, with one lane of `width` bits per left factor
+    s = words[k] (bit-parallel shift-and, Baeza-Yates & Gonnet 1992).
+
+    Route A erases s . t letter by letter.  Its own loop over s puts the
+    letters emitted for s in lane k of `val` (bit q is letter q), one bit in
+    lane k of `pos` at the lane's next free position, and the unflipped 1s
+    in `live`, a stack of lane masks aligned at the top.  One depth-first
+    walk over the trie of the t then moves every lane at once: a 0 shifts
+    pos, a 1 sets val |= pos, pushes pos and shifts it, a 2 pops a mask and
+    clears it in val; leaving a node undoes its letter.  Route B is
+    erase_fin(s) . erase_fin(t) packed into the same lanes: `es` holds every
+    erase_fin(s) and `start` marks where each lane's image of t begins.  A
+    node compares two ints; only a mismatch decodes its failing lanes."""
     bound = 6 if bound is None else bound
     col = _Collector()
     words = [w for w in _words3_up_to(bound) if t_member(w)]
     images = [erase_fin(w).letters for w in words]
-    walk = _trie_walk(words)
-    for s, es in zip(words, images):
-        emitted, live, flipped = [], [], []
+    # room for |s| + |t| letters and the next-free bit on either route, so a
+    # map that lengthens its images cannot spill into the next lane
+    width = 2 * max(bound, *map(len, images)) + 1
+    image_bits = [_lane_bits(e) for e in images]
+    es = start = val = pos = 0
+    tops = []  # tops[d]: each lane's unflipped 1 at depth d from the top
+    for k, s in enumerate(words):
+        base = k * width
+        es |= image_bits[k] << base
+        start |= 1 << (base + len(images[k]))
+        emitted = length = 0
+        ones = []
         for x in s:
             if x == 2:
-                emitted[live.pop()] = 0
+                emitted ^= 1 << ones.pop()
             else:
                 if x == 1:
-                    live.append(len(emitted))
-                emitted.append(x)
-        got = tuple(emitted)
-        bad = [] if got == es + images[0] else [(0, got)]
-        for x, i in walk:
-            if i is None:
-                if x == 2:
-                    pos = flipped.pop()
-                    emitted[pos] = 1
-                    live.append(pos)
-                else:
-                    emitted.pop()
-                    if x == 1:
-                        live.pop()
-                continue
+                    ones.append(length)
+                    emitted |= 1 << length
+                length += 1
+        val |= emitted << base
+        pos |= 1 << (base + length)
+        for d, q in enumerate(reversed(ones)):
+            if d == len(tops):
+                tops.append(0)
+            tops[d] |= 1 << (base + q)
+    live = tops[::-1]
+    lows = ((1 << (len(words) * width)) - 1) // ((1 << width) - 1)
+    flipped = []
+    bad = []  # (k, i, got): the first EXAMPLE_CAP failures in (s, t) order
+    misses = 0
+    for x, i in _trie_walk(words):
+        if i is None:
             if x == 2:
+                mask = flipped.pop()
+                val |= mask
+                live.append(mask)
+            elif x == 1:
                 pos = live.pop()
-                emitted[pos] = 0
-                flipped.append(pos)
+                val ^= pos
             else:
-                if x == 1:
-                    live.append(len(emitted))
-                emitted.append(x)
-            got = tuple(emitted)
-            if got != es + images[i]:
-                bad.append((i, got))
-        # the walk meets the t in depth-first order; report them in words order
-        for i, got in sorted(bad):
-            col.fail_only(
-                "".join(map(str, s)) + "|" + "".join(map(str, words[i])),
-                es + images[i],
-                got,
-            )
-        col.bulk_pass(len(words) - len(bad))
+                pos >>= 1
+            continue
+        if x == 0:
+            pos <<= 1
+        elif x == 1:
+            val |= pos
+            live.append(pos)
+            pos <<= 1
+        elif x == 2:
+            mask = live.pop()
+            val ^= mask
+            flipped.append(mask)
+        want = es | image_bits[i] * start
+        want_pos = start << len(images[i])
+        if val != want or pos != want_pos:
+            diff = (val ^ want) | (pos ^ want_pos)
+            misses += _lanes_set(diff, width, lows)
+            # only a node's first lanes can be among the first failures
+            lanes = itertools.islice(_failing_lanes(diff, val, pos, width), EXAMPLE_CAP)
+            bad = sorted(bad + [(k, i, got) for k, got in lanes])[:EXAMPLE_CAP]
+    for k, i, got in bad:
+        col.fail_only(
+            "".join(map(str, words[k])) + "|" + "".join(map(str, words[i])),
+            images[k] + images[i],
+            got,
+        )
+    col.bulk_fail(misses - len(bad))
+    col.bulk_pass(len(words) ** 2 - misses)
     return {"bound": bound, "words": len(words)}, col
 
 

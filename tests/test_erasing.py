@@ -15,6 +15,7 @@ from omegapower import (
     Member,
     NotInT,
     UNDETERMINED,
+    WorkbenchError,
     a3_member,
     a3_omega_member,
     b2_omega_member,
@@ -81,6 +82,13 @@ def test_erase_length_law():
         if t_member(s):
             out = erase_fin(s)
             assert len(out) == count_letter(s, 0) + count_letter(s, 1)
+
+
+@pytest.mark.parametrize("letters", [(0, 3), (-1,), ("1",), ([1],)])
+@pytest.mark.parametrize("decider", [t_member, erase_fin, e_def_member, e_counter_member])
+def test_letters_outside_the_alphabet_are_rejected(decider, letters):
+    with pytest.raises(WorkbenchError):
+        decider(letters)
 
 
 def test_erase_state_walk():

@@ -73,6 +73,22 @@ def test_last_pair_of_each_length_is_all_ones():
             assert len(q_of_index(m_offset(j) + 1)) == j + 1
 
 
+def test_pair_length_at_block_boundaries():
+    # q_of_index takes the length in closed form; the definition is the
+    # smallest L with M_L >= n
+    def length_by_search(n):
+        length = 0
+        while m_offset(length) < n:
+            length += 1
+        return length
+
+    for j in range(61):
+        for n in (m_offset(j) - 1, m_offset(j), m_offset(j) + 1):
+            if n >= 0:
+                assert len(q_of_index(n)) == length_by_search(n)
+                assert index_of_q(q_of_index(n)) == n
+
+
 def test_order_matches_definitional_enumeration():
     listed = enumerate_pairs(3)
     for n, pair in enumerate(listed):

@@ -1,6 +1,7 @@
 """Verification suites: report shape, determinism, and small-bound runs of
 every registered suite."""
 
+import gc
 import itertools
 import json
 
@@ -179,6 +180,35 @@ def test_erase_homomorphism_reports_a_faulty_map_like_the_reference(monkeypatch)
     assert report.cases_failed == want.cases_failed > 10
     assert report.counterexamples == want.counterexamples
     assert report.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("suffix", [(1, 1), (0,)])
+@pytest.mark.parametrize("bound", range(6))
+def test_erase_homomorphism_lanes_hold_lengthened_images(monkeypatch, bound, suffix):
+    # faulty map: a word that starts with 1 gets extra letters.  The lanes
+    # are sized from the images, not from the bound alone, and a trailing 0
+    # shows only in the length.
+    def lengthening(w):
+        image = erase_fin(w).letters
+        return FiniteWord(image + suffix if tuple(w)[:1] == (1,) else image, 2)
+
+    monkeypatch.setattr(suites, "erase_fin", lengthening)
+    report = run_suite("erase-homomorphism", bound=bound)
+    assert report.to_json() == _erase_homomorphism_reference(bound).to_json()
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [("erase-homomorphism", 4), ("E-dual-characterization", 6), ("pair-enum-roundtrip", 500)],
+)
+def test_finite_suites_leave_no_reference_cycles(name, bound):
+    gc.collect()
+    gc.disable()
+    try:
+        run_suite(name, bound=bound)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_failed_cases_count_in_the_total(monkeypatch):
