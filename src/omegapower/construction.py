@@ -31,6 +31,7 @@ classification map total on lassos only through its error cases.
 from dataclasses import dataclass
 
 from . import pairs
+from .erasing import _recurs
 from .errors import InMuOmega, NotInP, WorkbenchError
 from .rtree import RTreePresentation, r_contains
 from .verdicts import Member
@@ -76,7 +77,11 @@ def _delimited_blocks(s: FiniteWord):
 
 def pi_member(s: FiniteWord, r: RTreePresentation):
     """The unique pi-decomposition of s, or None."""
-    parsed = _delimited_blocks(s)
+    return _pi_decomposition(_delimited_blocks(s), r)
+
+
+def _pi_decomposition(parsed, r: RTreePresentation):
+    """pi_member on the parse _delimited_blocks returns."""
     if parsed is None:
         return None
     n0, blocks = parsed
@@ -130,44 +135,41 @@ def _mu_defect1(block, nxt) -> bool:
     return a is None or nxt[1] != pairs.m_offset(a + 1)
 
 
-def mu0_member(s: FiniteWord) -> bool:
-    parsed = _delimited_blocks(s)
+def _mu_blocks(parsed):
+    """The blocks of a parse that has the mu shape (two or more blocks,
+    every P-run an M-value), else None."""
     if parsed is None:
-        return False
-    _, blocks = parsed
-    if len(blocks) < 2:
-        return False
-    if any(pairs.m_index(p) is None for _, p, _ in blocks):
-        return False
-    return _mu_defect0(blocks[-2])
+        return None
+    blocks = parsed[1]
+    if len(blocks) < 2 or any(pairs.m_index(p) is None for _, p, _ in blocks):
+        return None
+    return blocks
+
+
+def _mu_parsed(parsed) -> bool:
+    blocks = _mu_blocks(parsed)
+    return blocks is not None and (
+        _mu_defect0(blocks[-2]) or _mu_defect1(blocks[-2], blocks[-1])
+    )
+
+
+def mu0_member(s: FiniteWord) -> bool:
+    blocks = _mu_blocks(_delimited_blocks(s))
+    return blocks is not None and _mu_defect0(blocks[-2])
 
 
 def mu1_member(s: FiniteWord) -> bool:
-    parsed = _delimited_blocks(s)
-    if parsed is None:
-        return False
-    _, blocks = parsed
-    if len(blocks) < 2:
-        return False
-    if any(pairs.m_index(p) is None for _, p, _ in blocks):
-        return False
-    return _mu_defect1(blocks[-2], blocks[-1])
+    blocks = _mu_blocks(_delimited_blocks(s))
+    return blocks is not None and _mu_defect1(blocks[-2], blocks[-1])
 
 
 def mu_member(s: FiniteWord) -> bool:
-    parsed = _delimited_blocks(s)
-    if parsed is None:
-        return False
-    _, blocks = parsed
-    if len(blocks) < 2:
-        return False
-    if any(pairs.m_index(p) is None for _, p, _ in blocks):
-        return False
-    return _mu_defect0(blocks[-2]) or _mu_defect1(blocks[-2], blocks[-1])
+    return _mu_parsed(_delimited_blocks(s))
 
 
 def a_member(s: FiniteWord, r: RTreePresentation) -> bool:
-    return mu_member(s) or pi_member(s, r) is not None
+    parsed = _delimited_blocks(s)
+    return _mu_parsed(parsed) or _pi_decomposition(parsed, r) is not None
 
 
 # ---------------------------------------------------------------- profiles
@@ -378,79 +380,55 @@ def pi_omega_knj_member(w: KnjEncodedWord, r: RTreePresentation) -> bool:
 
     Factor cuts can only split trailing 2-runs, M_{j+i+1} = p_i + r', and
     the next factor resumes at chain index p_i, so the pair chain marches
-    through the blocks once and for all; a factorization exists iff
-    accepted pairs can be hit infinitely often along the block letters.
-    Works on the run-length block structure; letters are never materialized
-    and ts_lasso_accepts is never consulted (the two stay independent)."""
+    through the blocks once and for all; a factorization exists iff the
+    tree, started at the pair of index N, can read the block letters m with
+    guessed bits so that accepted pairs are hit infinitely often.
+
+    Decided on boundary summaries over tree states, as a3_omega_member is:
+    every cycle of the (tree state, block phase) product passes the first
+    cycle phase of m, so one sweep of the cycle, one bit-lane per tree
+    state, gives for each state the states it reaches and those it reaches
+    through an accepted pair (guessed bit 1 into a live state), read from
+    one bitmask table per block letter; erasing._recurs closes
+    the reach rows and answers YES iff a state reachable after the spoke
+    has an accepting summary back into its own closure.  Works on the
+    block letters alone; letters of w are never materialized and
+    ts_lasso_accepts is never consulted (the two stay independent)."""
     if not isinstance(w, KnjEncodedWord):
         raise TypeError("pi_omega_knj_member expects a carrier word")
-    profile = _profile_of(w)
-    mm = w.m
-    u, v = mm.spoke.letters, mm.cycle.letters
-    total = len(u) + len(v)
+    n = len(r.states)
+    index = {q: i for i, q in enumerate(r.states)}
+    # succ[a][x]: states reached from state x on block letter a under either
+    # guessed bit; hits[a][x]: those reached on an accepted pair
+    succ, hits = ([], []), ([], [])
+    for q in r.states:
+        row = r.delta[q]
+        for a in (0, 1):
+            t0, t1 = row[f"0{a}"], row[f"1{a}"]
+            succ[a].append(1 << index[t0] | 1 << index[t1])
+            hits[a].append(1 << index[t1] if t1 in r.live else 0)
 
-    def advance(ph):
-        nxt = ph + 1
-        return nxt if nxt < total else len(u)
+    def sweep(letters, reach, hit, low):
+        # one lane of n bits per start state; low has bit 0 of every lane, so
+        # (reach >> x & low) * succ[a][x] puts x's successors into each lane
+        # that holds x
+        for a in letters:
+            s, h = succ[a], hits[a]
+            reach2 = hit2 = 0
+            for x in range(n):
+                rx, hx = reach >> x & low, hit >> x & low
+                reach2 |= rx * s[x]
+                hit2 |= hx * s[x] | rx * h[x]
+            reach, hit = reach2, hit2
+        return reach, hit
 
-    def block_letter(ph):
-        m, p, rr = profile.block(ph)  # phases index blocks inside one period
-        if p != rr:
-            raise WorkbenchError("carrier block runs must agree")
-        return m
-
-    start = (r.run_pair(pairs.q_of_index(w.n)), 0)
-    base = {}
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        st, ph = node
-        outs = []
-        for b in (0, 1):
-            st2 = r.step(st, b, block_letter(ph))
-            node2 = (st2, advance(ph))
-            outs.append((node2, b == 1 and st2 in r.live))
-            if node2 not in seen:
-                seen.add(node2)
-                stack.append(node2)
-        base[node] = outs
-    def factor_targets(node):
-        # cut states reachable by >= 1 blocks ending on an accepted pair
-        out = set()
-        visited = {node}
-        queue = [node]
-        while queue:
-            cur = queue.pop(0)
-            for node2, hit in base[cur]:
-                if hit:
-                    out.add(node2)
-                if node2 not in visited:
-                    visited.add(node2)
-                    queue.append(node2)
-        return out
-
-    cuts = {node: factor_targets(node) for node in base}
-    reachable = set(cuts[start])
-    queue = list(reachable)
-    while queue:
-        cur = queue.pop(0)
-        for nxt in cuts[cur]:
-            if nxt not in reachable:
-                reachable.add(nxt)
-                queue.append(nxt)
-    for c in reachable:
-        frontier = set(cuts[c])
-        queue = list(frontier)
-        while queue:
-            cur = queue.pop(0)
-            if cur == c:
-                return True
-            for nxt in cuts[cur]:
-                if nxt not in frontier:
-                    frontier.add(nxt)
-                    queue.append(nxt)
-    return False
+    u, v = w.m.spoke.letters, w.m.cycle.letters
+    start, _ = sweep(u, 1 << index[r.run_pair(pairs.q_of_index(w.n))], 0, 1)
+    low = sum(1 << x * n for x in range(n))
+    reach, hit = sweep(v, sum(1 << x * (n + 1) for x in range(n)), 0, low)
+    lane = (1 << n) - 1
+    rows = [(reach >> x * n & lane, hit >> x * n & lane) for x in range(n)]
+    return _recurs(start, rows)
 
 
 def a_omega_member(w, r: RTreePresentation, budget: int = None) -> Member:

@@ -369,18 +369,13 @@ def _warshall(rows):
     return rows
 
 
-def _accepts(u, v, cap):
-    """Whether the factor machine, capped at depth cap, has a run on u(v)
-    that completes infinitely many words.
-
-    Every cycle of the lasso product passes the first cycle position, so
-    the search runs on the 2 cap + 2 controls there: one sweep of v gives,
-    for each, the controls it reaches and those it reaches through a
-    completed word; Warshall closes the reach rows; a run exists iff a
-    control reachable from the end of u has a completing edge back into
-    its own strongly connected part."""
-    nodes = range(2 * cap + 2)
-    rows = _summaries(v, cap, nodes)
+def _recurs(start, rows):
+    """Whether a run from the nodes in the bitmask start passes marked edges
+    infinitely often, given per node i its one-period summary rows[i] =
+    (reach, marked): the nodes one period away, and those reached through
+    a marked edge.  Warshall closes the reach rows; a run exists iff a node
+    reachable from start has a marked summary back into its own strongly
+    connected part."""
     reach = _warshall([r for r, _ in rows])
 
     def star(mask):
@@ -391,9 +386,21 @@ def _accepts(u, v, cap):
             mask &= mask - 1
         return out
 
-    (start, _), = _summaries(u, cap, (0,))
     seen = star(start)
-    return any(seen >> x & 1 and star(rows[x][1]) >> x & 1 for x in nodes)
+    return any(seen >> x & 1 and star(marked) >> x & 1 for x, (_, marked) in enumerate(rows))
+
+
+def _accepts(u, v, cap):
+    """Whether the factor machine, capped at depth cap, has a run on u(v)
+    that completes infinitely many words.
+
+    Every cycle of the lasso product passes the first cycle position, so
+    the search runs on the 2 cap + 2 controls there: one sweep of v gives,
+    for each, the controls it reaches and those it reaches through a
+    completed word, and _recurs decides from the controls reachable from
+    the end of u."""
+    (start, _), = _summaries(u, cap, (0,))
+    return _recurs(start, _summaries(v, cap, range(2 * cap + 2)))
 
 
 def a3_omega_member(a: LassoWord, budget: int = 10_000) -> Member:

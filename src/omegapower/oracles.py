@@ -1,10 +1,9 @@
 """Second-route evaluators for cross-checking the primary deciders.
 
 Each function re-answers a question some primary decider answers, with as
-little shared machinery as possible: boolean matrix closures instead of
-product-graph searches, factor-cut searches instead of classification maps,
-brute prefix comparison instead of algebraic canonicalization.  The primary
-deciders never import this module.
+little shared machinery as possible: factor-cut searches instead of
+classification maps, brute prefix comparison instead of algebraic
+canonicalization.  The primary deciders never import this module.
 """
 
 import itertools
@@ -27,51 +26,6 @@ def enumerate_pairs(max_len: int):
     return out
 
 
-def matrix_lasso_accepts(r, start: int, alpha: LassoWord) -> bool:
-    """Transition-system lasso acceptance by boolean closure over tree
-    states at cycle boundaries: C is plain one-cycle reachability, A is
-    one-cycle reachability seeing an accepting hit, and acceptance means
-    some boundary state reachable after the spoke sits on a C*AC* loop."""
-    u, v = alpha.spoke.letters, alpha.cycle.letters
-    boundary = {r.run_pair(pairs.q_of_index(start))}
-    for a in u:
-        boundary = {r.step(s, b, a) for s in boundary for b in (0, 1)}
-    reach = {}
-    hit_reach = {}
-    for s0 in r.states:
-        frontier = {(s0, False)}
-        for a in v:
-            nxt = set()
-            for s, h in frontier:
-                for b in (0, 1):
-                    s2 = r.step(s, b, a)
-                    nxt.add((s2, h or (b == 1 and s2 in r.live)))
-            frontier = nxt
-        reach[s0] = {s for s, _ in frontier}
-        hit_reach[s0] = {s for s, h in frontier if h}
-
-    def closure(relation):
-        out = {}
-        for s in r.states:
-            seen = {s}
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for y in relation[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            out[s] = seen
-        return out
-
-    def compose(ma, mb):
-        return {s: {y for t in ma[s] for y in mb[t]} for s in r.states}
-
-    c = closure(reach)
-    h = compose(compose(c, hit_reach), c)
-    return any(t in h[t] for s in boundary for t in c[s])
-
-
 def omega_factor_evidence(w: LassoWord, member, max_factor: int) -> Member:
     """Cut-graph search for an infinite factorization of a lasso into
     member-words of length <= max_factor.
@@ -86,6 +40,8 @@ def omega_factor_evidence(w: LassoWord, member, max_factor: int) -> Member:
     def norm(pos):
         return pos if pos < ulen else ulen + (pos - ulen) % vlen
 
+    # every segment starts before ulen + vlen and is at most max_factor long
+    letters = w.prefix(ulen + vlen + max_factor).letters
     edges = {}
     stack = [0]
     seen = {0}
@@ -93,9 +49,7 @@ def omega_factor_evidence(w: LassoWord, member, max_factor: int) -> Member:
         pos = stack.pop()
         outs = []
         for f in range(1, max_factor + 1):
-            segment = FiniteWord(
-                tuple(w.letter_at(pos + i) for i in range(f)), w.size
-            )
+            segment = FiniteWord(letters[pos : pos + f], w.size)
             if member(segment):
                 node = norm(pos + f)
                 outs.append(node)

@@ -24,6 +24,7 @@ from .errors import WorkbenchError
 from .words import LassoWord
 
 _KEYS = ("00", "01", "10", "11")
+_BITS = frozenset((0, 1))
 
 
 @dataclass(frozen=True)
@@ -134,83 +135,80 @@ def qf_member(r: RTreePresentation, n: int) -> bool:
 
 def _product(r: RTreePresentation, start: int, alpha: LassoWord):
     """Reachable product graph of (tree state, lasso position) under free
-    guessed bits.  Edge payload: (target node, guessed bit, accepting hit)."""
-    u, v = alpha.spoke.letters, alpha.cycle.letters
-    total = len(u) + len(v)
-
-    def letter(pos):
-        return u[pos] if pos < len(u) else v[pos - len(u)]
-
-    def advance(pos):
-        nxt = pos + 1
-        return nxt if nxt < total else len(u)
-
-    for x in u + v:
-        if x not in (0, 1):
-            raise WorkbenchError("input lasso must be binary")
-    start_state = r.run_pair(pairs.q_of_index(start))
-    root = (start_state, 0)
+    guessed bits, on integer nodes state * len(uv) + pos, with tree states
+    numbered in the order of r.states.  Edge payload: (target node, guessed
+    bit, accepting hit)."""
+    letters = alpha.spoke.letters + alpha.cycle.letters
+    if not _BITS.issuperset(letters):
+        raise WorkbenchError("input lasso must be binary")
+    total = len(letters)
+    index = {q: i for i, q in enumerate(r.states)}
+    # moves[2 * state + a]: the targets' state * total under guessed bits 0
+    # and 1, and whether bit 1 hits an accepted pair
+    moves = []
+    for q in r.states:
+        row = r.delta[q]
+        for a in (0, 1):
+            t1 = row[f"1{a}"]
+            moves.append((index[row[f"0{a}"]] * total, index[t1] * total, t1 in r.live))
+    after = list(range(1, total)) + [len(alpha.spoke.letters)]
+    root = index[r.run_pair(pairs.q_of_index(start))] * total
     edges = {}
     stack = [root]
     seen = {root}
     while stack:
-        st, pos = stack.pop()
-        a = letter(pos)
-        out = []
-        for b in (0, 1):
-            st2 = r.step(st, b, a)
-            node = (st2, advance(pos))
-            hit = b == 1 and st2 in r.live
-            out.append((node, b, hit))
-            if node not in seen:
-                seen.add(node)
-                stack.append(node)
-        edges[(st, pos)] = out
+        node = stack.pop()
+        st, pos = divmod(node, total)
+        nxt = after[pos]
+        base0, base1, hit = moves[2 * st + letters[pos]]
+        edges[node] = out = ((base0 + nxt, 0, False), (base1 + nxt, 1, hit))
+        for target, _, _ in out:
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
     return root, edges
-
-
-def _path(edges, src, dst):
-    """Guessed-bit choices along a shortest path src -> dst ([] if equal)."""
-    if src == dst:
-        return []
-    back = {}
-    queue = [src]
-    while queue:
-        cur = queue.pop(0)
-        for node, b, _ in edges[cur]:
-            if node in back or node == src:
-                continue
-            back[node] = (cur, b)
-            if node == dst:
-                choices = []
-                while node != src:
-                    prev, bb = back[node]
-                    choices.append(bb)
-                    node = prev
-                return list(reversed(choices))
-            queue.append(node)
-    return None
 
 
 def ts_lasso_witness(r: RTreePresentation, start: int, alpha: LassoWord):
     """A replayable run witness: guessed bits for a path to a loop that
-    contains an accepting hit, or None if no accepting run exists."""
+    contains an accepting hit, or None if no accepting run exists.
+
+    Tries the hit edges in discovery order; an edge src -> node closes a
+    loop iff src lies in node's BFS tree.  BFS parent links are computed
+    at most once per source, and the lead path once, from the root, so the
+    bits along each path are those of a shortest path."""
     root, edges = _product(r, start, alpha)
+    trees = {}
+
+    def tree(src):
+        back = trees.get(src)
+        if back is None:
+            back = trees[src] = {src: None}
+            queue = [src]
+            for cur in queue:
+                for node, b, _ in edges[cur]:
+                    if node not in back:
+                        back[node] = (cur, b)
+                        queue.append(node)
+        return back
+
+    def path(back, dst):
+        bits = []
+        while back[dst] is not None:
+            dst, b = back[dst]
+            bits.append(b)
+        return bits[::-1]
+
     for src, out in edges.items():
         for node, b, hit in out:
-            if not hit:
-                continue
-            closing = _path(edges, node, src)
-            if closing is None:
-                continue
-            lead = _path(edges, root, src)
-            if lead is None:
-                continue
-            return {
-                "start_index": start,
-                "prefix": lead,
-                "loop": [b] + closing,
-            }
+            if hit:
+                back = tree(node)
+                if src in back:
+                    return {
+                        "start_index": start,
+                        "prefix": path(tree(root), src),
+                        "loop": [b] + path(back, src),
+                    }
     return None
 
 

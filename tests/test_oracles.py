@@ -18,11 +18,12 @@ from omegapower import (
 from omegapower.oracles import (
     brute_normalize_parts,
     enumerate_pairs,
-    matrix_lasso_accepts,
     omega_factor_evidence,
     stabilized_erase_prefix,
 )
 from omegapower.rtree import diag_tree, full_tree, ts_lasso_accepts
+
+from boundary_reference import matrix_lasso_accepts
 
 
 def test_enumerate_pairs_order_and_length():

@@ -4,8 +4,11 @@ final pairs, lasso acceptance with replayable witnesses."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegapower import (
+    KnjEncodedWord,
     LassoWord,
     QPair,
     WorkbenchError,
@@ -15,6 +18,7 @@ from omegapower import (
     full_tree,
     load_tree,
     q_of_index,
+    pi_omega_knj_member,
     qf_member,
     r_contains,
     tree_from_json,
@@ -23,7 +27,11 @@ from omegapower import (
     ts_lasso_witness,
     ts_replay,
 )
-from omegapower.oracles import enumerate_pairs, matrix_lasso_accepts
+from omegapower import pairs
+from omegapower.oracles import enumerate_pairs
+from omegapower.rtree import RTreePresentation
+
+from boundary_reference import matrix_lasso_accepts
 
 
 def lasso(text):
@@ -93,6 +101,60 @@ def test_acceptance_agrees_with_matrix_oracle():
                 assert ts_lasso_accepts(r, start, w) == matrix_lasso_accepts(
                     r, start, w
                 )
+
+
+def test_every_theorem2_gate_witness_replays():
+    # the theorem2-key-equality corpus at its gate bound 4: the address j
+    # does not enter the transition system, so the 14,784 (tree, N, m)
+    # triples with N <= M_2 cover all of its 19,008 cases
+    ms = list(corpus_lassos(2, 4, 4))
+    yes = 0
+    for r in (full_tree(), diag_tree()):
+        for n in range(pairs.m_offset(2) + 1):
+            for m in ms:
+                witness = ts_lasso_witness(r, n, m)
+                if witness is not None:
+                    yes += 1
+                    assert ts_replay(r, n, m, witness), (r.name, n, str(m))
+    assert yes == 9744
+
+
+@st.composite
+def tree_queries(draw):
+    """A prefix-closed tree DFA with 2-4 states listed in a random order
+    (the first nlive of s0..s{k-1} live, dead states stepping only into
+    dead ones), and a carrier K[N,j]m with j <= 2, |u| <= 5, |v| <= 5."""
+    k = draw(st.integers(2, 4))
+    nlive = draw(st.integers(1, k))
+    names = tuple(f"s{i}" for i in range(k))
+    delta = {
+        q: {
+            key: names[draw(st.integers(0 if i < nlive else nlive, k - 1))]
+            for key in ("00", "01", "10", "11")
+        }
+        for i, q in enumerate(names)
+    }
+    r = RTreePresentation(
+        "random", tuple(draw(st.permutations(names))), "s0", frozenset(names[:nlive]), delta
+    ).validate()
+    j = draw(st.integers(0, 2))
+    n = draw(st.integers(0, pairs.m_offset(j)))
+    u = draw(st.lists(st.integers(0, 1), max_size=5))
+    v = draw(st.lists(st.integers(0, 1), min_size=1, max_size=5))
+    return r, KnjEncodedWord(n, j, LassoWord(u, v, size=2))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(tree_queries())
+def test_theorem2_routes_agree_on_random_trees(query):
+    r, w = query
+    want = matrix_lasso_accepts(r, w.n, w.m)
+    assert pi_omega_knj_member(w, r) is want
+    assert ts_lasso_accepts(r, w.n, w.m) is want
+    witness = ts_lasso_witness(r, w.n, w.m)
+    assert (witness is not None) is want
+    if witness is not None:
+        assert ts_replay(r, w.n, w.m, witness)
 
 
 def test_prefix_closure_of_trees():
