@@ -389,10 +389,10 @@ def pi_omega_knj_member(w: KnjEncodedWord, r: RTreePresentation) -> bool:
     cycle phase of m, so one sweep of the cycle, one bit-lane per tree
     state, gives for each state the states it reaches and those it reaches
     through an accepted pair (guessed bit 1 into a live state), read from
-    one bitmask table per block letter; erasing._recurs closes
-    the reach rows and answers YES iff a state reachable after the spoke
-    has an accepting summary back into its own closure.  Works on the
-    block letters alone; letters of w are never materialized and
+    one bitmask table per block letter; erasing._recurs closes the reach
+    rows and answers YES iff a state reachable after the spoke has an
+    accepting summary back into its own closure.  Works on the block
+    letters alone; letters of w are never materialized and
     ts_lasso_accepts is never consulted (the two stay independent)."""
     if not isinstance(w, KnjEncodedWord):
         raise TypeError("pi_omega_knj_member expects a carrier word")
