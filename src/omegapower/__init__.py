@@ -49,6 +49,7 @@ from .erasing import (
     e_preimage_check,
     erase_fin,
     erase_lasso,
+    t_lasso,
     t_member,
 )
 from .errors import (

@@ -4,6 +4,13 @@ Exhaustive enumeration yields each ultimately periodic word exactly once:
 a candidate (u, v) is kept only when it is its own canonical form, so the
 words come out deduplicated without bookkeeping.  Random generation is
 seeded and deduplicates on the canonical form.
+
+A filter keep(spoke, cycle) receives the raw letter tuples or lists of a
+candidate, before any LassoWord is built, and must answer a property of
+the omega-word spoke cycle^omega, the same for every representation of it
+(erasing.t_lasso is one).  Only kept candidates are canonicalized, so a
+rejected random draw costs no LassoWord and takes no place in the
+deduplication set.
 """
 
 import itertools
@@ -20,11 +27,11 @@ def corpus_lassos(size: int, max_spoke: int, max_cycle: int, keep=None):
         for lv in range(1, max_cycle + 1):
             for u in itertools.product(letters, repeat=lu):
                 for v in itertools.product(letters, repeat=lv):
+                    if keep is not None and not keep(u, v):
+                        continue
                     if canonical_parts(u, v) != (u, v):
                         continue
-                    w = LassoWord(u, v, size=size)
-                    if keep is None or keep(w):
-                        yield w
+                    yield LassoWord._trusted(u, v, size)
 
 
 def random_lassos(
@@ -37,17 +44,20 @@ def random_lassos(
 ):
     """Up to count distinct random lassos; deterministic in the seed."""
     rng = random.Random(seed)
+    randrange, randint = rng.randrange, rng.randint
     out = []
     seen = set()
     for _ in range(count * 200):
         if len(out) >= count:
             break
-        u = [rng.randrange(size) for _ in range(rng.randint(0, max_spoke))]
-        v = [rng.randrange(size) for _ in range(rng.randint(1, max_cycle))]
-        w = LassoWord(u, v, size=size)
-        if w in seen:
+        u = [randrange(size) for _ in range(randint(0, max_spoke))]
+        v = [randrange(size) for _ in range(randint(1, max_cycle))]
+        # a rejected draw is never output, so it need not enter seen
+        if keep is not None and not keep(u, v):
             continue
-        seen.add(w)
-        if keep is None or keep(w):
-            out.append(w)
+        parts = canonical_parts(u, v)
+        if parts in seen:
+            continue
+        seen.add(parts)
+        out.append(LassoWord._trusted(*parts, size))
     return out

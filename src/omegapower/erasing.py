@@ -23,7 +23,7 @@ two never consult each other.
 
 from .errors import NotInT, WorkbenchError
 from .verdicts import UNDETERMINED, Member
-from .words import FiniteWord, LassoWord
+from .words import FiniteWord, LassoWord, canonical_parts
 
 
 _LETTERS3 = frozenset((0, 1, 2))
@@ -44,18 +44,32 @@ def count_letter(s: FiniteWord, j: int) -> int:
     return s.letters.count(j)
 
 
+def t_lasso(u, v) -> bool:
+    """Whether the lasso u(v), given as letter sequences, lies in T: no
+    prefix of u v has more 2s than 1s, and the cycle does not lose ground.
+
+    This is exact, so it gives the same answer for every representation of
+    the same omega-word: with cycle balance b >= 0, a prefix ending in the
+    k-th copy of v counts (k-1) b more than the same place in the first
+    copy, and with b < 0 the count eventually goes below 0."""
+    u = _letters3(u)
+    v = _letters3(v)
+    c = 0
+    for x in u + v:
+        if x == 1:
+            c += 1
+        elif x == 2:
+            if not c:
+                return False
+            c -= 1
+    return v.count(1) >= v.count(2)
+
+
 def t_member(w) -> bool:
     """No prefix has more 2s than 1s; for lassos additionally the cycle
-    cannot lose ground (checked through the spoke and two full cycles)."""
+    cannot lose ground (see t_lasso)."""
     if isinstance(w, LassoWord):
-        u = _letters3(w.spoke)
-        v = _letters3(w.cycle)
-        c = 0
-        for x in u + v + v:
-            c += (x == 1) - (x == 2)
-            if c < 0:
-                return False
-        return sum((x == 1) - (x == 2) for x in v) >= 0
+        return t_lasso(w.spoke.letters, w.cycle.letters)
     c = 0
     for x in _letters3(w):
         c += (x == 1) - (x == 2)
@@ -117,7 +131,7 @@ def erase_fin(s: FiniteWord) -> FiniteWord:
             if not live:
                 raise NotInT("a 2 arrived with no unflipped 1 to its left")
             emitted[live.pop()] = 0
-    return FiniteWord(emitted, 2)
+    return FiniteWord._trusted(tuple(emitted), 2)
 
 
 def erase_lasso(a: LassoWord, budget: int = 4096):
@@ -187,7 +201,7 @@ def erase_lasso(a: LassoWord, budget: int = 4096):
             cyc = out[mark:]
             if not cyc:
                 raise WorkbenchError("erase image cycle collapsed")
-            return LassoWord(out[:mark], cyc, size=2)
+            return LassoWord._trusted(*canonical_parts(out[:mark], cyc), 2)
         seen[key] = len(out)
     return UNDETERMINED
 
@@ -202,7 +216,7 @@ def e_def_member(s: FiniteWord) -> bool:
         return False
     if not t_member(s):
         return False
-    front = erase_fin(FiniteWord(letters[:-1], 3))
+    front = erase_fin(FiniteWord._trusted(letters[:-1], 3))
     return len(front) > 0 and front.letters[0] == 1
 
 
@@ -435,9 +449,8 @@ def a3_omega_member(a: LassoWord, budget: int = 10_000) -> Member:
 
 def e_preimage_check(a: LassoWord, budget: int = 4096) -> Member:
     """The same omega-power question answered through the erasing map: the
-    image must be a binary word other than 1 0^omega."""
-    if not t_member(a):
-        raise NotInT(f"{a} has a prefix with more 2s than 1s")
+    image must be a binary word other than 1 0^omega.  erase_lasso checks
+    that a is in T."""
     image = erase_lasso(a, budget)
     if image is UNDETERMINED:
         return Member.INCONCLUSIVE

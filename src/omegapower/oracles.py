@@ -49,7 +49,7 @@ def omega_factor_evidence(w: LassoWord, member, max_factor: int) -> Member:
         pos = stack.pop()
         outs = []
         for f in range(1, max_factor + 1):
-            segment = FiniteWord(letters[pos : pos + f], w.size)
+            segment = FiniteWord._trusted(letters[pos : pos + f], w.size)
             if member(segment):
                 node = norm(pos + f)
                 outs.append(node)

@@ -33,6 +33,15 @@ class QPair:
             if b not in (0, 1):
                 raise WorkbenchError("pair components must be binary")
 
+    @classmethod
+    def _trusted(cls, beta: Bits, alpha: Bits) -> "QPair":
+        """A pair from equal-length bit tuples already known to be binary,
+        for q_of_index; public construction checks every bit."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "beta", beta)
+        object.__setattr__(p, "alpha", alpha)
+        return p
+
     def __len__(self):
         return len(self.beta)
 
@@ -73,9 +82,11 @@ def q_of_index(n: int) -> QPair:
     # the smallest L with M_L >= n: 4^(L+1) >= 3n + 4, i.e. 2L + 2 >= bits of 3n + 3
     length = max(0, ((3 * n + 3).bit_length() + 1) // 2 - 1)
     if length == 0:
-        return QPair((), ())
+        return QPair._trusted((), ())
     rank = n - m_offset(length - 1) - 1
-    return QPair(_bits_of(rank >> length, length), _bits_of(rank & ((1 << length) - 1), length))
+    return QPair._trusted(
+        _bits_of(rank >> length, length), _bits_of(rank & ((1 << length) - 1), length)
+    )
 
 
 def index_of_q(pair: QPair) -> int:

@@ -29,6 +29,7 @@ from .erasing import (
     e_def_member,
     e_preimage_check,
     erase_fin,
+    t_lasso,
     t_member,
 )
 from .errors import WorkbenchError
@@ -344,9 +345,9 @@ def _suite_sigma2_main(bound, seed, tree, budget):
     seed = 20260814 if seed is None else seed
     budget = 10_000 if budget is None else budget
     col = _Collector()
-    cases = list(corpus_lassos(3, bound, bound, keep=t_member))
+    cases = list(corpus_lassos(3, bound, bound, keep=t_lasso))
     pool = set(cases)
-    for w in random_lassos(3, SIGMA2_SAMPLES, 8, 8, seed, keep=t_member):
+    for w in random_lassos(3, SIGMA2_SAMPLES, 8, 8, seed, keep=t_lasso):
         if w not in pool:
             pool.add(w)
             cases.append(w)

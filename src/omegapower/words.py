@@ -40,6 +40,15 @@ class FiniteWord:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "size", size)
 
+    @classmethod
+    def _trusted(cls, letters: tuple, size: int) -> "FiniteWord":
+        """A word from a tuple of ints already known to lie in range(size),
+        for internal producers; public construction checks every letter."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "size", size)
+        return w
+
     def __setattr__(self, *_):
         raise AttributeError("FiniteWord is immutable")
 
@@ -51,7 +60,7 @@ class FiniteWord:
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return FiniteWord(self.letters[key], self.size)
+            return FiniteWord._trusted(self.letters[key], self.size)
         return self.letters[key]
 
     def __eq__(self, other):
@@ -97,13 +106,20 @@ def canonical_parts(spoke, cycle):
     spoke (a shared tail is absorbed into a rotation of the cycle)."""
     spoke = tuple(spoke)
     cycle = _primitive(tuple(cycle))
-    if not cycle:
+    n = len(cycle)
+    if not n:
         raise WorkbenchError("lasso cycle must be nonempty")
-    spoke = list(spoke)
-    while spoke and spoke[-1] == cycle[-1]:
-        spoke.pop()
-        cycle = (cycle[-1],) + cycle[:-1]
-    return tuple(spoke), cycle
+    # absorbing k trailing spoke letters rotates the cycle right by k, so
+    # the next one, spoke[-1-k], is absorbed iff it equals cycle[-1-k]
+    # (cyclically); count them all, then cut and rotate once
+    ls = len(spoke)
+    k = 0
+    while k < ls and spoke[ls - 1 - k] == cycle[(-1 - k) % n]:
+        k += 1
+    if k:
+        r = n - k % n
+        spoke, cycle = spoke[: ls - k], cycle[r:] + cycle[:r]
+    return spoke, cycle
 
 
 def _letters(x):
@@ -131,6 +147,16 @@ class LassoWord:
         object.__setattr__(self, "spoke", FiniteWord(u, size))
         object.__setattr__(self, "cycle", FiniteWord(v, size))
 
+    @classmethod
+    def _trusted(cls, u: tuple, v: tuple, size: int) -> "LassoWord":
+        """The lasso u(v) from canonical_parts output whose letters are
+        already known to lie in range(size), for internal producers;
+        public construction canonicalizes and checks every letter."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "spoke", FiniteWord._trusted(u, size))
+        object.__setattr__(w, "cycle", FiniteWord._trusted(v, size))
+        return w
+
     def __setattr__(self, *_):
         raise AttributeError("LassoWord is immutable")
 
@@ -147,10 +173,10 @@ class LassoWord:
     def prefix(self, n: int) -> FiniteWord:
         u, v = self.spoke.letters, self.cycle.letters
         if n <= len(u):
-            return FiniteWord(u[:n], self.size)
+            return FiniteWord._trusted(u[:n], self.size)
         rest = n - len(u)
         reps, tail = divmod(rest, len(v))
-        return FiniteWord(u + v * reps + v[:tail], self.size)
+        return FiniteWord._trusted(u + v * reps + v[:tail], self.size)
 
     def __eq__(self, other):
         if isinstance(other, LassoWord):

@@ -1,7 +1,11 @@
 """Corpus generators: deterministic canonical lasso enumeration and the
 seeded random sampler."""
 
-from omegapower import corpus_lassos, normalize, random_lassos, t_member
+import pytest
+
+from omegapower import corpus_lassos, normalize, random_lassos, t_lasso, t_member
+
+from corpus_reference import filter_after_canonical
 
 
 def test_enumeration_frozen():
@@ -13,7 +17,7 @@ def test_enumeration_frozen():
 
 
 def test_enumeration_with_filter():
-    listed = [str(w) for w in corpus_lassos(3, 0, 2, t_member)]
+    listed = [str(w) for w in corpus_lassos(3, 0, 2, t_lasso)]
     assert "(12)" in listed
     assert "(21)" not in listed
     assert listed == ["(0)", "(1)", "(01)", "(10)", "(12)"]
@@ -51,5 +55,27 @@ def test_random_sampler_is_seeded():
 
 
 def test_random_sampler_filter():
-    for w in random_lassos(3, 30, 5, 5, seed=3, keep=t_member):
+    for w in random_lassos(3, 30, 5, 5, seed=3, keep=t_lasso):
         assert t_member(w)
+
+
+@pytest.mark.parametrize("seed", [20260814, 5])
+def test_random_sampler_matches_the_canonicalize_first_reference(seed):
+    # the sigma2-main draw: keep on the raw parts gives the list that
+    # filtering every canonical LassoWord gave
+    got = random_lassos(3, 2000, 8, 8, seed, keep=t_lasso)
+    want = filter_after_canonical(3, 2000, 8, 8, seed, keep=t_member)
+    assert len(got) == 2000
+    assert [(str(w), w.size) for w in got] == [(str(w), w.size) for w in want]
+
+
+def test_unfiltered_sampler_matches_the_canonicalize_first_reference():
+    # the a-omega-decomposition draw
+    got = random_lassos(4, 200, 6, 6, 20260814)
+    want = filter_after_canonical(4, 200, 6, 6, 20260814)
+    assert [(str(w), w.size) for w in got] == [(str(w), w.size) for w in want]
+
+
+def test_enumeration_filter_on_parts_matches_filtering_the_words():
+    got = list(corpus_lassos(3, 4, 4, t_lasso))
+    assert got == [w for w in corpus_lassos(3, 4, 4) if t_member(w)]

@@ -27,6 +27,7 @@ from omegapower import (
     e_preimage_check,
     erase_fin,
     erase_lasso,
+    t_lasso,
     t_member,
     word,
 )
@@ -64,6 +65,36 @@ def test_t_member_lasso():
     assert not t_member(lasso("(21)"))
     assert not t_member(lasso("1(2)"))  # cycle balance dips eventually
     assert t_member(lasso("1(0)"))
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(
+    st.lists(st.sampled_from((0, 1, 2)), max_size=8),
+    st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=8),
+    st.integers(0, 8),
+    st.integers(1, 3),
+)
+def test_t_is_a_property_of_the_omega_word(u, v, k, r):
+    # the spoke may swallow k cycle letters (rotating the cycle) and the
+    # cycle may repeat r times; none of that changes the word, so none of
+    # it may change the parts predicate
+    k %= len(v) + 1
+    w = LassoWord(u, v, size=3)
+    # the finite route on a prefix of the canonical word, which covers its
+    # spoke and its cycle, plus the cycle balance
+    n = len(w.spoke) + len(w.cycle)
+    want = t_member(w.prefix(n)) and w.cycle.count(1) >= w.cycle.count(2)
+    representations = [(u, v), (u + v[:k], v[k:] + v[:k]), (u, v * r)]
+    for spoke, cycle in representations:
+        assert LassoWord(spoke, cycle, size=3) == w
+        assert t_lasso(spoke, cycle) is want, (spoke, cycle)
+    assert t_member(w) is want
+
+
+def test_t_lasso_rejects_letters_outside_the_alphabet():
+    for u, v in [((), (3,)), ((0, 3), (1,)), ((-1,), (0,))]:
+        with pytest.raises(WorkbenchError):
+            t_lasso(u, v)
 
 
 def test_erase_finite_frozen():
@@ -130,7 +161,7 @@ def test_erase_lasso_budget():
 
 
 def test_erase_lasso_matches_stabilized_prefixes():
-    for w in corpus_lassos(3, 3, 4, t_member):
+    for w in corpus_lassos(3, 3, 4, t_lasso):
         image = erase_lasso(w)
         assert image is not UNDETERMINED
         stable = stabilized_erase_prefix(w, 48)
@@ -314,7 +345,7 @@ def test_warshall_closes_long_cycles():
 def test_depth_cap_is_complete():
     # the docstring's cap c = max(1, (|u|+|v|) // 2) loses no run: eight
     # more levels of depth change no verdict
-    for w in corpus_lassos(3, 4, 4, t_member):
+    for w in corpus_lassos(3, 4, 4, t_lasso):
         u, v = w.spoke.letters, w.cycle.letters
         cap = max(1, (len(u) + len(v)) // 2)
         assert _accepts(u, v, cap) == _accepts(u, v, cap + 8), str(w)
@@ -363,7 +394,7 @@ def test_e_preimage_frozen():
 
 
 def test_main_identity_small_corpus():
-    for w in corpus_lassos(3, 2, 4, t_member):
+    for w in corpus_lassos(3, 2, 4, t_lasso):
         got = a3_omega_member(w)
         want = e_preimage_check(w)
         if Member.INCONCLUSIVE in (got, want):

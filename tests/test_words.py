@@ -120,6 +120,19 @@ def test_lasso_letters_and_prefix():
     assert letter_at(w, 3) == 1
 
 
+def test_trusted_construction_matches_the_checked_constructors():
+    for u, v in [((), (0,)), ((0, 1, 1), (0, 1)), ((2, 1), (2, 1, 2, 1)), ((1,), (0, 1))]:
+        w = LassoWord._trusted(*canonical_parts(u, v), 3)
+        checked = LassoWord(u, v, size=3)
+        assert (str(w), w.size, hash(w)) == (str(checked), checked.size, hash(checked))
+    f = FiniteWord._trusted((1, 2), 3)
+    assert (f, f.size, hash(f)) == (word("12", 3), 3, hash(word("12", 3)))
+    # internal results keep the alphabet of the word they come from
+    w = LassoWord("1", "12", size=3)
+    assert w.prefix(1).size == w.prefix(4).size == 3
+    assert word("0120", 4)[1:3].size == 4
+
+
 def test_lasso_hash_and_repr():
     assert hash(LassoWord("", "01")) == hash(LassoWord("", "0101"))
     assert repr(LassoWord("", "01")) == "LassoWord('(01)')"
