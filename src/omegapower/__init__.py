@@ -54,7 +54,6 @@ from .erasing import (
 )
 from .errors import (
     AlphabetMismatch,
-    BudgetExceeded,
     InMuOmega,
     InvalidAddress,
     LiteralSyntaxError,
@@ -81,7 +80,7 @@ from .rtree import (
     ts_lasso_witness,
     ts_replay,
 )
-from .suites import SUITES, SuiteReport, run_suite
+from .suites import SUITES, VERSION as __version__, SuiteReport, run_suite
 from .verdicts import UNDETERMINED, Member
 from .words import (
     FiniteWord,
@@ -98,5 +97,3 @@ from .words import (
     suffix_from,
     word,
 )
-
-__version__ = "0.1.0"

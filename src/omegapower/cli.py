@@ -5,7 +5,7 @@ member (finite-word language membership), omega-member (omega-power
 membership of lassos and carrier words), verify (dual-route suites).
 
 Exit codes: 0 true/pass, 1 false/fail, 2 usage or domain error,
-3 inconclusive.
+3 inconclusive (also when the input is too large to decide in memory).
 """
 
 import argparse
@@ -167,7 +167,7 @@ def _omega_verdict(args):
     if args.construction == "theorem2":
         if not isinstance(w, (LassoWord, KnjEncodedWord)):
             raise WorkbenchError("theorem2 expects a lasso or a K[N,j] literal")
-        return a_omega_member(w, load_tree(args.rtree), args.budget)
+        return a_omega_member(w, load_tree(args.rtree))
     if not isinstance(w, LassoWord):
         raise WorkbenchError(f"{args.construction} expects a binary lasso")
     witness = {
@@ -234,6 +234,10 @@ def main(argv=None) -> int:
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (MemoryError, OverflowError) as exc:
+        # no verdict: exit 1 would read as "no"
+        print(f"inconclusive: input too large to decide ({type(exc).__name__})", file=sys.stderr)
+        return 3
 
 
 def console():

@@ -33,10 +33,6 @@ class InMuOmega(WorkbenchError):
     """The classification map is undefined on infinite products of mu-words."""
 
 
-class BudgetExceeded(WorkbenchError):
-    """An exploration budget ran out before the query was settled."""
-
-
 class LiteralSyntaxError(WorkbenchError):
     """Malformed word literal; carries the offending position."""
 

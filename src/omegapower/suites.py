@@ -39,6 +39,7 @@ from .rtree import diag_tree, full_tree, ts_lasso_accepts
 from .verdicts import Member
 from .words import FiniteWord, KnjEncodedWord, LassoWord, prefix
 
+# the package version (pyproject.toml reads it); part of every report digest
 VERSION = "0.1.0"
 
 EXAMPLE_CAP = 10

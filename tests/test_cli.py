@@ -110,6 +110,24 @@ def test_omega_member_theorem2(capsys):
     assert code == 2
 
 
+def test_carrier_too_large_to_decide_is_inconclusive(capsys, monkeypatch):
+    base = ["omega-member", "--construction", "theorem2", "--input"]
+    # M_41 does not fit an index: the probe run overflows before allocating
+    code, out, err = run(capsys, *base, "K[0,40](1)")
+    assert (code, out) == (3, "")
+    assert err == "inconclusive: input too large to decide (OverflowError)"
+
+    # K[0,20](1) would ask for M_21 letters; a stand-in decider raises the
+    # MemoryError instead, so the test never attempts the allocation
+    def out_of_memory(w, r):
+        raise MemoryError
+
+    monkeypatch.setattr("omegapower.cli.a_omega_member", out_of_memory)
+    code, out, err = run(capsys, *base, "K[0,20](1)")
+    assert (code, out) == (3, "")
+    assert err == "inconclusive: input too large to decide (MemoryError)"
+
+
 def test_usage_errors(capsys):
     assert main([]) == 2
     assert main(["enum", "q"]) == 2

@@ -6,6 +6,8 @@ import itertools
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegapower import (
     InMuOmega,
@@ -32,8 +34,10 @@ from omegapower import (
 )
 from omegapower.construction import BlockProfile, PiDecomposition, _f_from_profile
 from omegapower.pairs import m_index, q_of_index, successors
-from omegapower.rtree import diag_tree, full_tree, qf_member, r_contains
+from omegapower.rtree import diag_tree, full_tree, qf_member, r_contains, ts_lasso_accepts
 from omegapower.words import FiniteWord
+
+from suitability_reference import two_probe_is_suitable
 
 FULL = full_tree()
 DIAG = diag_tree()
@@ -327,6 +331,56 @@ def test_suitability_frozen():
     assert not is_suitable(empty, 5, 1)
 
 
+def test_one_probe_suitability_matches_two_probe_reference():
+    # t is empty or a mu-word ending in 3: every such word of length <= 7,
+    # plus two-block words whose last P-run reaches M_3, so that each j <= 3
+    # has suitable triples; S runs to M_j + 2
+    ts = [FiniteWord((), 4)]
+    for n in range(1, 8):
+        for tup in itertools.product((0, 1, 2, 3), repeat=n - 1):
+            ts.append(FiniteWord(tup + (3,), 4))
+    for r0, m1, j1 in itertools.product((0, M1), (0, 1), range(4)):
+        ts.append(FiniteWord(blk(1, M1, r0) + blk(m1, m_offset(j1), 0), 4))
+    ts = [t for t in ts if len(t) == 0 or mu_member(t)]
+    cases, suitable = 0, [0] * 4
+    for t in ts:
+        for j in range(4):
+            for s_len in range(m_offset(j) + 3):
+                got = is_suitable(t, s_len, j)
+                assert got == two_probe_is_suitable(t, s_len, j), (str(t), s_len, j)
+                cases += 1
+                suitable[j] += got
+    assert (len(ts), cases, suitable) == (87, 10_440, [77, 9, 23, 89])
+
+
+def _block_word(lead, blocks):
+    return FiniteWord((2,) * lead + sum((blk(*b) for b in blocks), ()), 4)
+
+
+_M_OR_NEAR = st.sampled_from((0, 1, M1, M1 + 1, M2))
+_BLOCK_WORDS = st.builds(
+    _block_word,
+    st.integers(0, 2),
+    st.lists(st.tuples(st.integers(0, 1), _M_OR_NEAR, _M_OR_NEAR), min_size=1, max_size=4),
+)
+_RAW_WORDS = st.lists(st.integers(0, 3), max_size=12).map(lambda xs: FiniteWord(xs, 4))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.one_of(_BLOCK_WORDS, _RAW_WORDS))
+def test_mu_membership_ignores_block_letters(s):
+    # the single suitability probe rests on this: swapping a block letter
+    # 0 <-> 1 moves none of mu, mu0, mu1
+    def verdicts(w):
+        return mu_member(w), mu0_member(w), mu1_member(w)
+
+    want = verdicts(s)
+    for i, x in enumerate(s.letters):
+        if x in (0, 1):
+            swapped = FiniteWord(s.letters[:i] + (1 - x,) + s.letters[i + 1 :], 4)
+            assert verdicts(swapped) == want, (str(s), i)
+
+
 def test_suitability_domain_guards():
     assert not is_suitable(word("122223", 4), 0, 1)  # pi word, not mu
     dangling = FiniteWord(W_MU0.letters + (2, 2), 4)
@@ -355,7 +409,14 @@ def test_a_omega_frozen():
 
 
 def test_a_omega_on_carriers_reduces_to_pi_omega():
+    lassos = list(corpus_lassos(2, 3, 3))
     for r in (FULL, DIAG):
-        for m in corpus_lassos(2, 3, 3):
-            w = KnjEncodedWord(0, 0, m)
-            assert a_omega_member(w, r) is Member.of(pi_omega_knj_member(w, r))
+        for j in range(7):
+            for n in sorted({0, m_offset(j) // 2, m_offset(j)}):
+                # the decider builds M_(j+1)-letter probes: thin out the
+                # block words where those runs get long
+                for m in lassos[:: 1 if j < 5 else 5]:
+                    w = KnjEncodedWord(n, j, m)
+                    want = pi_omega_knj_member(w, r)
+                    assert want == ts_lasso_accepts(r, n, m), str(w)
+                    assert a_omega_member(w, r) is Member.of(want), str(w)

@@ -4,9 +4,11 @@ every registered suite."""
 import gc
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
+import omegapower
 from omegapower import SUITES, WorkbenchError, run_suite
 from omegapower import suites
 from omegapower.erasing import e_counter_member, erase_fin
@@ -57,6 +59,18 @@ def test_report_fields_and_verdict():
     assert report.version
     line = report.summary()
     assert "pair-enum-roundtrip" in line and "pass" in line
+
+
+def test_version_is_written_once():
+    # reports write the version, so the value is part of every suite digest
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert project["project"]["dynamic"] == ["version"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "omegapower.suites.VERSION"
+    }
+    assert omegapower.__version__ is suites.VERSION
+    assert run_suite("knj-roundtrip", bound=1).version == "0.1.0"
 
 
 def test_fail_verdict_requires_counterexamples():
