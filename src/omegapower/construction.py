@@ -330,8 +330,6 @@ def f_map(w):
     Raises NotInP without the M-shaped block structure and InMuOmega on
     mu-products.  On carrier words the triple is (empty, N, j+1)."""
     if isinstance(w, KnjEncodedWord):
-        if mu_omega_member(w) is Member.YES:
-            raise InMuOmega(f"{w} is a mu-product")
         return _f_from_profile(_profile_of(w))
     if isinstance(w, LassoWord):
         profile = _profile_of(w)
@@ -390,20 +388,17 @@ def pi_omega_knj_member(w: KnjEncodedWord, r: RTreePresentation) -> bool:
     rows and answers YES iff a state reachable after the spoke has an
     accepting summary back into its own closure.  Works on the block
     letters alone; letters of w are never materialized and
-    ts_lasso_accepts is never consulted (the two stay independent)."""
+    ts_lasso_accepts is never consulted (the two stay independent).  The
+    tree is read only through r.codes, for the lanes, and
+    r.state_of_index, for the start state."""
     if not isinstance(w, KnjEncodedWord):
         raise TypeError("pi_omega_knj_member expects a carrier word")
-    n = len(r.states)
-    index = {q: i for i, q in enumerate(r.states)}
+    codes, live, _ = r.codes
+    n = len(codes)
     # succ[a][x]: states reached from state x on block letter a under either
     # guessed bit; hits[a][x]: those reached on an accepted pair
-    succ, hits = ([], []), ([], [])
-    for q in r.states:
-        row = r.delta[q]
-        for a in (0, 1):
-            t0, t1 = row[f"0{a}"], row[f"1{a}"]
-            succ[a].append(1 << index[t0] | 1 << index[t1])
-            hits[a].append(1 << index[t1] if t1 in r.live else 0)
+    succ = tuple([1 << row[a] | 1 << row[2 + a] for row in codes] for a in (0, 1))
+    hits = tuple([1 << row[2 + a] & live for row in codes] for a in (0, 1))
 
     def sweep(letters, reach, hit, low):
         # one lane of n bits per start state; low has bit 0 of every lane, so
@@ -420,7 +415,7 @@ def pi_omega_knj_member(w: KnjEncodedWord, r: RTreePresentation) -> bool:
         return reach, hit
 
     u, v = w.m.spoke.letters, w.m.cycle.letters
-    start, _ = sweep(u, 1 << index[r.run_pair(pairs.q_of_index(w.n))], 0, 1)
+    start, _ = sweep(u, 1 << r.state_of_index(w.n), 0, 1)
     low = sum(1 << x * n for x in range(n))
     reach, hit = sweep(v, sum(1 << x * (n + 1) for x in range(n)), 0, low)
     lane = (1 << n) - 1

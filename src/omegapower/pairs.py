@@ -63,30 +63,36 @@ def m_offset(j: int) -> int:
 
 
 def m_index(value: int):
-    """Inverse of m_offset: j with M_j == value, or None."""
-    if value < 0:
+    """Inverse of m_offset: j with M_j == value, or None.
+
+    3 M_j + 4 = 4^(j+1), so value is an offset iff 3 value + 4 is a power of
+    two with an odd bit length 2j + 3."""
+    x = 3 * value + 4
+    if value < 0 or x & (x - 1) or not x.bit_length() & 1:
         return None
-    j = 0
-    while m_offset(j) < value:
-        j += 1
-    return j if m_offset(j) == value else None
+    return (x.bit_length() - 3) // 2
 
 
 def _bits_of(value: int, width: int) -> Bits:
-    return tuple([(value >> (width - 1 - k)) & 1 for k in range(width)])
+    return tuple([value >> k & 1 for k in range(width - 1, -1, -1)])
 
 
-def q_of_index(n: int) -> QPair:
+def split_index(n: int):
+    """(length, beta, alpha) of the pair of index n, its two components as
+    integers whose length-bit binary forms are the bit words."""
     if n < 0:
         raise WorkbenchError("pair index must be nonnegative")
     # the smallest L with M_L >= n: 4^(L+1) >= 3n + 4, i.e. 2L + 2 >= bits of 3n + 3
     length = max(0, ((3 * n + 3).bit_length() + 1) // 2 - 1)
     if length == 0:
-        return QPair._trusted((), ())
-    rank = n - m_offset(length - 1) - 1
-    return QPair._trusted(
-        _bits_of(rank >> length, length), _bits_of(rank & ((1 << length) - 1), length)
-    )
+        return 0, 0, 0
+    rank = n - (4 ** length - 4) // 3 - 1  # minus M_{L-1} + 1, the first index of length L
+    return length, rank >> length, rank & ((1 << length) - 1)
+
+
+def q_of_index(n: int) -> QPair:
+    length, beta, alpha = split_index(n)
+    return QPair._trusted(_bits_of(beta, length), _bits_of(alpha, length))
 
 
 def index_of_q(pair: QPair) -> int:

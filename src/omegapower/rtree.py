@@ -9,6 +9,14 @@ live one, so once a run dies it stays dead.
 JSON delta keys are two digits, guessed branch bit first: key "ba" covers
 the pair letter (beta bit b, alpha bit a).
 
+Two data primitives serve the deciders, next to step and run_pair: r.codes,
+the tree compiled once into integer state ids (the ids number r.states in
+order; four successor ids per state, indexed 2b + a, and a live bitmask),
+and r.state_of_index(n), the id of the state that the pair of index n
+reaches, walked from the bits of n without building the pair.  Both carrier
+routes, ts_lasso_witness here and construction.pi_omega_knj_member, read
+the tree only through these two.
+
 ts_lasso_accepts(r, start, alpha) decides whether, starting from pair index
 `start`, the input lasso alpha can be read with guessed bits so that
 accepted pairs (nonempty guessed part ending in 1, pair inside the tree)
@@ -18,6 +26,8 @@ guessed bits.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from . import pairs
 from .errors import WorkbenchError
@@ -25,6 +35,14 @@ from .words import LassoWord
 
 _KEYS = ("00", "01", "10", "11")
 _BITS = frozenset((0, 1))
+
+
+class TreeCodes(NamedTuple):
+    """A tree's integer form: state ids number r.states in order."""
+
+    succ: tuple  # succ[x][2 * b + a]: the id state x steps to on letter (b, a)
+    live: int  # bit x set iff state x is live
+    initial: int
 
 
 @dataclass(frozen=True)
@@ -63,6 +81,25 @@ class RTreePresentation:
         state = self.initial
         for b, a in pair.letters():
             state = self.step(state, b, a)
+        return state
+
+    @cached_property
+    def codes(self) -> TreeCodes:
+        """The transition table on integer ids, compiled once per tree."""
+        ids = {q: x for x, q in enumerate(self.states)}
+        return TreeCodes(
+            tuple(tuple(ids[self.delta[q][key]] for key in _KEYS) for q in self.states),
+            sum(1 << ids[q] for q in self.live),
+            ids[self.initial],
+        )
+
+    def state_of_index(self, n: int) -> int:
+        """The id of the state run_pair(q_of_index(n)) reaches, read from the
+        bits of n's components without building the pair."""
+        length, beta, alpha = pairs.split_index(n)
+        succ, _, state = self.codes
+        for k in range(length - 1, -1, -1):
+            state = succ[state][2 * (beta >> k & 1) + (alpha >> k & 1)]
         return state
 
 
@@ -135,24 +172,22 @@ def qf_member(r: RTreePresentation, n: int) -> bool:
 
 def _product(r: RTreePresentation, start: int, alpha: LassoWord):
     """Reachable product graph of (tree state, lasso position) under free
-    guessed bits, on integer nodes state * len(uv) + pos, with tree states
-    numbered in the order of r.states.  Edge payload: (target node, guessed
-    bit, accepting hit)."""
+    guessed bits, on integer nodes state * len(uv) + pos over the state ids
+    of r.codes.  Edge payload: (target node, guessed bit, accepting hit)."""
     letters = alpha.spoke.letters + alpha.cycle.letters
     if not _BITS.issuperset(letters):
         raise WorkbenchError("input lasso must be binary")
     total = len(letters)
-    index = {q: i for i, q in enumerate(r.states)}
+    succ, live, _ = r.codes
     # moves[2 * state + a]: the targets' state * total under guessed bits 0
     # and 1, and whether bit 1 hits an accepted pair
     moves = []
-    for q in r.states:
-        row = r.delta[q]
+    for row in succ:
         for a in (0, 1):
-            t1 = row[f"1{a}"]
-            moves.append((index[row[f"0{a}"]] * total, index[t1] * total, t1 in r.live))
+            t1 = row[2 + a]
+            moves.append((row[a] * total, t1 * total, live >> t1 & 1 == 1))
     after = list(range(1, total)) + [len(alpha.spoke.letters)]
-    root = index[r.run_pair(pairs.q_of_index(start))] * total
+    root = r.state_of_index(start) * total
     edges = {}
     stack = [root]
     seen = {root}
@@ -176,7 +211,8 @@ def ts_lasso_witness(r: RTreePresentation, start: int, alpha: LassoWord):
     Tries the hit edges in discovery order; an edge src -> node closes a
     loop iff src lies in node's BFS tree.  BFS parent links are computed
     at most once per source, and the lead path once, from the root, so the
-    bits along each path are those of a shortest path."""
+    bits along each path are those of a shortest path.  The product reads
+    the tree only through r.codes and r.state_of_index."""
     root, edges = _product(r, start, alpha)
     trees = {}
 

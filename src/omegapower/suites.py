@@ -52,18 +52,21 @@ class _Collector:
         self.inconclusive = 0
         self.examples = []
 
-    def case(self, literal, expected, got):
+    def case(self, literal, expected, got, prefix=None):
         if expected == got:
             self.total += 1
         else:
-            self.fail_only(literal, expected, got)
+            self.fail_only(literal, expected, got, prefix)
 
-    def fail_only(self, literal, expected, got):
-        """A failed case; bulk suites add their passes with bulk_pass."""
+    def fail_only(self, literal, expected, got, prefix=None):
+        """A failed case; bulk suites add their passes with bulk_pass.  The
+        label is "prefix literal" when a prefix is given, formatted only
+        here, so passing cases never build it."""
         self.total += 1
         self.failed += 1
         if len(self.examples) < EXAMPLE_CAP:
-            self.examples.append([str(literal), str(expected), str(got)])
+            label = str(literal) if prefix is None else f"{prefix} {literal}"
+            self.examples.append([label, str(expected), str(got)])
 
     def bulk_pass(self, count):
         self.total += count
@@ -370,9 +373,9 @@ def _suite_xi_low(bound, seed, tree, budget):
     xi1_power = omega_power_automaton(xi1_sigma_witness())
     zero_lasso = LassoWord((), (0,), size=2)
     for w in corpus_lassos(2, bound, bound):
-        col.case(f"zero {w}", w == zero_lasso, lasso_accepts(zero_power, w))
-        col.case(f"ones {w}", pinf_member(w), lasso_accepts(ones_power, w))
-        col.case(f"xi1 {w}", b2_omega_member(w), lasso_accepts(xi1_power, w))
+        col.case(w, w == zero_lasso, lasso_accepts(zero_power, w), "zero")
+        col.case(w, pinf_member(w), lasso_accepts(ones_power, w), "ones")
+        col.case(w, b2_omega_member(w), lasso_accepts(xi1_power, w), "xi1")
     return {"bound": bound}, col
 
 
@@ -381,17 +384,17 @@ def _suite_knj_roundtrip(bound, seed, tree, budget):
     col = _Collector()
     for w in _knj_grid(2, 2):
         addr = KnjAddress(w.n, w.j)
-        col.case(f"phi {w}", str(w.m), str(phi(phi_inverse(w.m, addr))))
+        col.case(w, str(w.m), str(phi(phi_inverse(w.m, addr))), "phi")
         head = prefix(w, bound)
-        col.case(f"consistent {w}", True, knj_prefix_consistent(head, addr))
+        col.case(w, True, knj_prefix_consistent(head, addr), "consistent")
         # The negative checks only bite once the prefix reaches the first
         # position where the two carrier shapes disagree.
         if w.n + 1 <= pairs.m_offset(w.j) and bound > w.n:
             wrong = KnjAddress(w.n + 1, w.j)
-            col.case(f"shifted {w}", False, knj_prefix_consistent(head, wrong))
+            col.case(w, False, knj_prefix_consistent(head, wrong), "shifted")
         if bound >= w.n + pairs.m_offset(w.j + 1) + 2:
             wrong_j = KnjAddress(w.n, w.j + 1)
-            col.case(f"misfiled {w}", False, knj_prefix_consistent(head, wrong_j))
+            col.case(w, False, knj_prefix_consistent(head, wrong_j), "misfiled")
     return {"bound": bound}, col
 
 
@@ -404,11 +407,7 @@ def _suite_theorem2_key_equality(bound, seed, tree, budget):
             for n in range(pairs.m_offset(j) + 1):
                 for m in ms:
                     w = KnjEncodedWord(n, j, m)
-                    col.case(
-                        f"{r.name} {w}",
-                        ts_lasso_accepts(r, n, m),
-                        pi_omega_knj_member(w, r),
-                    )
+                    col.case(w, ts_lasso_accepts(r, n, m), pi_omega_knj_member(w, r), r.name)
     return {"bound": bound}, col
 
 
@@ -416,10 +415,10 @@ def _suite_mu_knj_disjoint(bound, seed, tree, budget):
     bound = 2 if bound is None else bound
     col = _Collector()
     for w in _knj_grid(2, bound):
-        col.case(f"mu {w}", Member.NO.value, mu_omega_member(w).value)
+        col.case(w, Member.NO.value, mu_omega_member(w).value, "mu")
         t, s_len, j1 = f_map(w)
         ok = len(t) == 0 and s_len == w.n and j1 == w.j + 1
-        col.case(f"triple {w}", True, ok)
+        col.case(w, True, ok, "triple")
     return {"bound": bound}, col
 
 

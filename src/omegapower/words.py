@@ -272,7 +272,8 @@ class KnjEncodedWord:
             ext(3, 1)
             ext(2, run)
             b += 1
-        return FiniteWord(out, 4)
+        # letters 2 and 3 plus block letters, which __init__ checked binary
+        return FiniteWord._trusted(tuple(out), 4)
 
     def __eq__(self, other):
         if isinstance(other, KnjEncodedWord):
@@ -309,7 +310,7 @@ class KnjTailWord:
         return self.base.letter_at(self.drop + i)
 
     def prefix(self, n: int) -> FiniteWord:
-        return FiniteWord(self.base.prefix(self.drop + n).letters[self.drop:], 4)
+        return self.base.prefix(self.drop + n)[self.drop:]
 
     def __eq__(self, other):
         if isinstance(other, KnjTailWord):

@@ -58,8 +58,11 @@ def test_offset_fits_native_width_below_19():
 
 
 def test_m_index_inverts_offsets():
-    for j in range(9):
+    for j in range(65):
         assert m_index(m_offset(j)) == j
+        assert m_index(m_offset(j) + 1) is None
+        # at j = 0 this is -1, where 3 * -1 + 4 = 1 is an odd-length power of two
+        assert m_index(m_offset(j) - 1) is None
     assert m_index(5) is None
     assert m_index(19) is None
     assert m_index(-3) is None

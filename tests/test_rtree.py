@@ -157,6 +157,22 @@ def test_theorem2_routes_agree_on_random_trees(query):
         assert ts_replay(r, w.n, w.m, witness)
 
 
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(tree_queries())
+def test_compiled_tree_agrees_with_step_and_run_pair(query):
+    r, _ = query
+    succ, live, initial = r.codes
+    assert r.codes is r.codes  # compiled once per tree
+    for x, q in enumerate(r.states):
+        assert (live >> x & 1 == 1) is (q in r.live)
+        for b in (0, 1):
+            for a in (0, 1):
+                assert r.states[succ[x][2 * b + a]] == r.step(q, b, a)
+    assert r.states[initial] == r.initial
+    for n in [*range(pairs.m_offset(3) + 1), pairs.m_offset(6) + 77]:
+        assert r.states[r.state_of_index(n)] == r.run_pair(q_of_index(n))
+
+
 def test_prefix_closure_of_trees():
     for r in (full_tree(), diag_tree()):
         for q in enumerate_pairs(4):

@@ -9,7 +9,16 @@ from pathlib import Path
 import pytest
 
 import omegapower
-from omegapower import SUITES, WorkbenchError, run_suite
+from omegapower import (
+    SUITES,
+    KnjEncodedWord,
+    WorkbenchError,
+    corpus_lassos,
+    full_tree,
+    pi_omega_knj_member,
+    run_suite,
+    ts_lasso_accepts,
+)
 from omegapower import suites
 from omegapower.erasing import e_counter_member, erase_fin
 from omegapower.suites import SuiteReport, _Collector
@@ -247,3 +256,19 @@ def test_words3_corpus_is_lazy_and_ordered():
     listed = list(corpus)
     assert listed == sorted(listed, key=lambda w: (len(w), w))
     assert len(listed) == len(set(listed)) == 1 + 3 + 9 + 27
+
+
+def test_case_labels_keep_their_form_when_formatted_on_failure(monkeypatch):
+    # the label of a failing case is "tree carrier", as an f-string gave it
+    # when every case built its label up front
+    def negated(w, r):
+        return not pi_omega_knj_member(w, r)
+
+    monkeypatch.setattr(suites, "pi_omega_knj_member", negated)
+    report = run_suite("theorem2-key-equality", bound=2)
+    first = KnjEncodedWord(0, 0, next(iter(corpus_lassos(2, 2, 2))))
+    assert report.cases_failed == report.cases_total
+    assert len(report.counterexamples) == suites.EXAMPLE_CAP
+    assert report.counterexamples[0][0] == f"full {first}"
+    want = ts_lasso_accepts(full_tree(), 0, first.m)
+    assert report.counterexamples[0][1:] == [str(want), str(not want)]

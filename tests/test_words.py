@@ -131,6 +131,18 @@ def test_trusted_construction_matches_the_checked_constructors():
     w = LassoWord("1", "12", size=3)
     assert w.prefix(1).size == w.prefix(4).size == 3
     assert word("0120", 4)[1:3].size == 4
+    # carrier prefixes, also through a tail view
+    for n, j, m in itertools.product(range(3), range(2), ["(1)", "0(01)", "11(0)"]):
+        if n > m_offset(j):
+            continue
+        spoke, _, cyc = m.partition("(")
+        w = KnjEncodedWord(n, j, LassoWord(spoke, cyc.rstrip(")"), size=2))
+        for k in (0, 1, 7, 30):
+            for got in (w.prefix(k), KnjTailWord(w, 3).prefix(k)):
+                checked = FiniteWord(got.letters, 4)
+                assert (got, got.size, hash(got)) == (checked, checked.size, hash(checked))
+            assert w.prefix(k).letters == tuple(w.letter_at(i) for i in range(k))
+            assert KnjTailWord(w, 3).prefix(k).letters == w.prefix(k + 3).letters[3:]
 
 
 def test_lasso_hash_and_repr():
