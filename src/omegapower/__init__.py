@@ -7,16 +7,16 @@ languages with their omega-power deciders (construction), the 3-letter
 witness language and erasing map (erasing), omega-power automata for the
 low-level witnesses (automata), plus literals, corpora, cross-check oracles,
 verification suites, and a CLI.
+
+This namespace exports the paper's objects and what the deciders, suites,
+CLI and perfbench call; types and helpers used inside one module are read
+from that module, and reference code that only the tests use lives in
+tests/.  tests/test_api.py enforces the rule.
 """
 
 from .automata import (
-    Automaton,
     accepts_finite,
-    automaton_from_json,
-    automaton_to_json,
-    baire_embed_prefix,
     lasso_accepts,
-    make_automaton,
     omega_power_automaton,
     pinf_member,
     xi1_sigma_witness,
@@ -24,8 +24,6 @@ from .automata import (
     zero_word_automaton,
 )
 from .construction import (
-    BlockProfile,
-    PiDecomposition,
     a_member,
     a_omega_member,
     f_map,
@@ -39,11 +37,9 @@ from .construction import (
 )
 from .corpus import corpus_lassos, random_lassos
 from .erasing import (
-    EraseState,
     a3_member,
     a3_omega_member,
     b2_omega_member,
-    count_letter,
     e_counter_member,
     e_def_member,
     e_preimage_check,
@@ -53,47 +49,33 @@ from .erasing import (
     t_member,
 )
 from .errors import (
-    AlphabetMismatch,
     InMuOmega,
     InvalidAddress,
     LiteralSyntaxError,
-    NotAPrefix,
     NotInKnj,
     NotInP,
     NotInT,
     WorkbenchError,
 )
 from .knj import KnjAddress, knj_prefix_consistent, phi, phi_inverse
-from .literals import EPSILON, format_word, parse_word_literal
-from .pairs import QPair, index_of_q, is_transition, m_index, m_offset, q_of_index, successors
+from .literals import format_word, parse_word_literal
+from .pairs import QPair, index_of_q, m_index, m_offset, q_of_index, successors
 from .rtree import (
     RTreePresentation,
-    derived_b_member,
     diag_tree,
     full_tree,
     load_tree,
-    qf_member,
     r_contains,
-    tree_from_json,
-    tree_to_json,
     ts_lasso_accepts,
-    ts_lasso_witness,
     ts_replay,
 )
-from .suites import SUITES, VERSION as __version__, SuiteReport, run_suite
+from .suites import SUITES, VERSION as __version__, run_suite
 from .verdicts import UNDETERMINED, Member
 from .words import (
     FiniteWord,
     KnjEncodedWord,
-    KnjTailWord,
     LassoWord,
     canonical_parts,
-    concat,
-    letter_at,
-    normalize,
     prefix,
     run_decompose,
-    run_recompose,
-    suffix_from,
-    word,
 )

@@ -12,11 +12,10 @@ the automaton with the positions of the lasso for a reachable cycle through
 an accepting product node.
 """
 
-import json
 from dataclasses import dataclass
 
 from .errors import WorkbenchError
-from .words import FiniteWord, LassoWord
+from .words import FiniteWord, LassoWord, lasso_positions
 
 
 @dataclass(frozen=True)
@@ -93,24 +92,10 @@ def omega_power_automaton(aut: Automaton) -> Automaton:
     )
 
 
-def _lasso_positions(w: LassoWord):
-    u, v = w.spoke.letters, w.cycle.letters
-    total = len(u) + len(v)
-
-    def letter(pos):
-        return u[pos] if pos < len(u) else v[pos - len(u)]
-
-    def advance(pos):
-        nxt = pos + 1
-        return nxt if nxt < total else len(u)
-
-    return total, letter, advance
-
-
 def lasso_accepts(aut: Automaton, w: LassoWord) -> bool:
     """Buchi acceptance of u v^omega: a reachable product cycle through an
     accepting product node."""
-    total, letter, advance = _lasso_positions(w)
+    letter, advance = lasso_positions(w)
     start = (aut.initial, 0)
     seen = {start}
     stack = [start]
@@ -191,47 +176,3 @@ def pinf_member(w: LassoWord) -> bool:
         if x not in (0, 1):
             raise WorkbenchError("pinf_member expects a binary word")
     return False
-
-
-def baire_embed_prefix(b) -> FiniteWord:
-    """Prefix embedding of a natural-number sequence: b_i maps to 0^{b_i} 1."""
-    out = []
-    for k in b:
-        if k < 0:
-            raise WorkbenchError("sequence entries must be nonnegative")
-        out.extend([0] * k)
-        out.append(1)
-    return FiniteWord(out, 2)
-
-
-def automaton_to_json(aut: Automaton) -> str:
-    return json.dumps(
-        {
-            "states": list(aut.states),
-            "initial": aut.initial,
-            "accepting": sorted(aut.accepting),
-            "alphabet": aut.size,
-            "delta": {
-                q: {str(a): sorted(ts) for a, ts in sorted(row.items())}
-                for q, row in sorted(aut.delta.items())
-            },
-        },
-        indent=2,
-        sort_keys=True,
-    )
-
-
-def automaton_from_json(text: str) -> Automaton:
-    try:
-        data = json.loads(text)
-        edges = [
-            (q, int(a), t)
-            for q, row in data["delta"].items()
-            for a, ts in row.items()
-            for t in ts
-        ]
-        return make_automaton(
-            data["states"], data["initial"], set(data["accepting"]), int(data["alphabet"]), edges
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WorkbenchError(f"malformed automaton document: {exc}") from exc

@@ -38,7 +38,6 @@ from .verdicts import Member
 from .words import (
     FiniteWord,
     KnjEncodedWord,
-    KnjTailWord,
     LassoWord,
     run_decompose,
 )
@@ -279,8 +278,6 @@ def _recurring_defect(profile: BlockProfile) -> bool:
 def mu_omega_member(w) -> Member:
     """Is w an infinite product of mu-words (necessarily of a single form)?
     Exact on lassos and carrier words."""
-    if isinstance(w, KnjTailWord):
-        raise TypeError("mu_omega_member expects a lasso or a carrier word")
     profile = _profile_of(w)
     if profile is None:
         return Member.NO

@@ -40,10 +40,6 @@ def _letters3(w) -> tuple:
     return letters
 
 
-def count_letter(s: FiniteWord, j: int) -> int:
-    return s.letters.count(j)
-
-
 def t_lasso(u, v) -> bool:
     """Whether the lasso u(v), given as letter sequences, lies in T: no
     prefix of u v has more 2s than 1s, and the cycle does not lose ground.
@@ -76,45 +72,6 @@ def t_member(w) -> bool:
         if c < 0:
             return False
     return True
-
-
-class EraseState:
-    """Left-to-right erasing simulation: emitted letters plus the positions
-    of the still-unflipped 1s (always |live| = n_1 - n_2 of the input)."""
-
-    __slots__ = ("emitted", "live")
-
-    def __init__(self, emitted=(), live=()):
-        object.__setattr__(self, "emitted", tuple(emitted))
-        object.__setattr__(self, "live", tuple(live))
-
-    def __setattr__(self, *_):
-        raise AttributeError("EraseState is immutable")
-
-    def step(self, letter: int) -> "EraseState":
-        if letter == 0:
-            return EraseState(self.emitted + (0,), self.live)
-        if letter == 1:
-            return EraseState(self.emitted + (1,), self.live + (len(self.emitted),))
-        if letter == 2:
-            if not self.live:
-                raise NotInT("a 2 arrived with no unflipped 1 to its left")
-            idx = self.live[-1]
-            emitted = list(self.emitted)
-            emitted[idx] = 0
-            return EraseState(emitted, self.live[:-1])
-        raise WorkbenchError("expected a letter in {0,1,2}")
-
-    def word(self) -> FiniteWord:
-        return FiniteWord(self.emitted, 2)
-
-    def __eq__(self, other):
-        if isinstance(other, EraseState):
-            return (self.emitted, self.live) == (other.emitted, other.live)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.emitted, self.live))
 
 
 def erase_fin(s: FiniteWord) -> FiniteWord:

@@ -1,16 +1,13 @@
-"""Exception types shared across the workbench."""
+"""Exception types shared across the workbench.
+
+Each subclass names the condition an input failed: a carrier address
+(N <= M_j), a carrier set, the language T, the block shape P, the
+mu-products, or the literal grammar.  Any other bad input raises
+WorkbenchError itself."""
 
 
 class WorkbenchError(Exception):
     """Base class for domain errors raised by this package."""
-
-
-class AlphabetMismatch(WorkbenchError):
-    """Operands declare different alphabet sizes."""
-
-
-class NotAPrefix(WorkbenchError):
-    """suffix_from was handed a word that is not a prefix of the target."""
 
 
 class InvalidAddress(WorkbenchError):

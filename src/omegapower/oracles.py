@@ -2,17 +2,15 @@
 
 Each function re-answers a question some primary decider answers, with as
 little shared machinery as possible: factor-cut searches instead of
-classification maps, brute prefix comparison instead of algebraic
-canonicalization.  The primary deciders never import this module.
+classification maps and product automata, a definitional listing of pairs
+instead of index arithmetic.  The primary deciders never import this module.
 """
 
 import itertools
-import math
 
 from . import pairs
-from .erasing import erase_fin
 from .verdicts import Member
-from .words import FiniteWord, LassoWord, prefix
+from .words import FiniteWord, LassoWord
 
 
 def enumerate_pairs(max_len: int):
@@ -69,36 +67,3 @@ def omega_factor_evidence(w: LassoWord, member, max_factor: int) -> Member:
                     visited.add(t)
                     frontier.append(t)
     return Member.NO
-
-
-def stabilized_erase_prefix(a: LassoWord, depth: int) -> FiniteWord:
-    """Stabilized prefix of the erase image of a T-lasso: erase two prefix
-    depths directly and keep the positions on which they agree."""
-    e1 = erase_fin(prefix(a, depth))
-    e2 = erase_fin(prefix(a, 3 * depth))
-    keep = 0
-    while keep < len(e1) and keep < len(e2) and e1.letters[keep] == e2.letters[keep]:
-        keep += 1
-    return FiniteWord(e1.letters[:keep], 2)
-
-
-def brute_normalize_parts(spoke, cycle):
-    """Smallest (cycle length, then spoke length) representation of the
-    lasso given by raw letter tuples, by direct prefix comparison."""
-    u, v = tuple(spoke), tuple(cycle)
-
-    def letter(i):
-        return u[i] if i < len(u) else v[(i - len(u)) % len(v)]
-
-    for lv in range(1, len(v) + 1):
-        for lu in range(len(u) + len(v) + 1):
-            cu = tuple(letter(i) for i in range(lu))
-            cv = tuple(letter(lu + i) for i in range(lv))
-            horizon = max(lu, len(u)) + 2 * math.lcm(lv, len(v)) + lv + len(v)
-
-            def cand(i):
-                return cu[i] if i < lu else cv[(i - lu) % lv]
-
-            if all(cand(i) == letter(i) for i in range(horizon)):
-                return cu, cv
-    return u, v

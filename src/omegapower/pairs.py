@@ -115,7 +115,3 @@ def successors(n: int, m: int) -> frozenset:
     return frozenset(
         index_of_q(QPair(p.beta + (b,), p.alpha + (m,))) for b in (0, 1)
     )
-
-
-def is_transition(n: int, m: int, p: int) -> bool:
-    return p in successors(n, m)

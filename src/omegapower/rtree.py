@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from . import pairs
 from .errors import WorkbenchError
-from .words import LassoWord
+from .words import LassoWord, lasso_positions
 
 _KEYS = ("00", "01", "10", "11")
 _BITS = frozenset((0, 1))
@@ -144,30 +144,8 @@ def tree_from_json(text: str, name: str = "custom") -> RTreePresentation:
         raise WorkbenchError(f"malformed tree document: {exc}") from exc
 
 
-def tree_to_json(r: RTreePresentation) -> str:
-    return json.dumps(
-        {
-            "name": r.name,
-            "states": list(r.states),
-            "initial": r.initial,
-            "live": sorted(r.live),
-            "delta": {q: dict(sorted(row.items())) for q, row in sorted(r.delta.items())},
-        },
-        indent=2,
-        sort_keys=True,
-    )
-
-
 def r_contains(r: RTreePresentation, pair: pairs.QPair) -> bool:
     return r.run_pair(pair) in r.live
-
-
-def qf_member(r: RTreePresentation, n: int) -> bool:
-    """Accepting pair indices: guessed part nonempty, ends in 1, pair in r."""
-    p = pairs.q_of_index(n)
-    if not p.beta or p.beta[-1] != 1:
-        return False
-    return r_contains(r, p)
 
 
 def _product(r: RTreePresentation, start: int, alpha: LassoWord):
@@ -255,16 +233,7 @@ def ts_lasso_accepts(r: RTreePresentation, start: int, alpha: LassoWord) -> bool
 def ts_replay(r: RTreePresentation, start: int, alpha: LassoWord, witness) -> bool:
     """Check a witness: replay its guessed bits and confirm the loop closes
     on the same product node and contains a hit."""
-    u, v = alpha.spoke.letters, alpha.cycle.letters
-    total = len(u) + len(v)
-
-    def letter(pos):
-        return u[pos] if pos < len(u) else v[pos - len(u)]
-
-    def advance(pos):
-        nxt = pos + 1
-        return nxt if nxt < total else len(u)
-
+    letter, advance = lasso_positions(alpha)
     state = r.run_pair(pairs.q_of_index(witness["start_index"]))
     pos = 0
     for b in witness["prefix"]:
@@ -280,11 +249,6 @@ def ts_replay(r: RTreePresentation, start: int, alpha: LassoWord, witness) -> bo
         if b == 1 and state in r.live:
             hit = True
     return hit and (state, pos) == anchor and witness["start_index"] == start
-
-
-def derived_b_member(r: RTreePresentation, alpha: LassoWord) -> bool:
-    """The omega-language coded by the tree, evaluated from the root."""
-    return ts_lasso_accepts(r, 0, alpha)
 
 
 def load_tree(source: str) -> RTreePresentation:

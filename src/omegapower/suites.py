@@ -35,9 +35,9 @@ from .erasing import (
 from .errors import WorkbenchError
 from .knj import KnjAddress, knj_prefix_consistent, phi, phi_inverse
 from .oracles import enumerate_pairs, omega_factor_evidence
-from .rtree import diag_tree, full_tree, ts_lasso_accepts
+from .rtree import RTreePresentation, diag_tree, full_tree, load_tree, ts_lasso_accepts
 from .verdicts import Member
-from .words import FiniteWord, KnjEncodedWord, LassoWord, prefix
+from .words import KnjEncodedWord, LassoWord, prefix
 
 # the package version (pyproject.toml reads it); part of every report digest
 VERSION = "0.1.0"
@@ -125,11 +125,10 @@ class SuiteReport:
 
 
 def _resolve_tree(tree):
-    if tree is None or tree == "full":
-        return full_tree()
-    if tree == "diag":
-        return diag_tree()
-    return tree  # already an RTreePresentation
+    """A presentation as given, else the tree load_tree names ("full" by default)."""
+    if isinstance(tree, RTreePresentation):
+        return tree
+    return load_tree(tree or "full")
 
 
 # ------------------------------------------------------------- corpora

@@ -10,11 +10,10 @@ equality of the denoted omega-words.  KnjEncodedWord(N, j, m) denotes
 over the 4-letter alphabet, where m is a binary lasso and M is the block
 offset from pairs.m_offset.  Block i of the expansion means the segment
 m_i 2^M 3 2^M.  Such words are never ultimately periodic (the runs grow),
-which is why they get their own representation.  KnjTailWord is a suffix
-view used when a cut position cannot be renormalized to a carrier address.
+which is why they get their own representation.
 """
 
-from .errors import AlphabetMismatch, InvalidAddress, NotAPrefix, WorkbenchError
+from .errors import InvalidAddress, WorkbenchError
 from . import pairs
 
 
@@ -80,17 +79,6 @@ class FiniteWord:
 
     def count(self, letter: int) -> int:
         return self.letters.count(letter)
-
-
-def word(text, size=None) -> FiniteWord:
-    """Shorthand constructor from a digit string or letter iterable."""
-    return FiniteWord(text, size)
-
-
-def concat(u: FiniteWord, v: FiniteWord) -> FiniteWord:
-    if u.size != v.size:
-        raise AlphabetMismatch(f"cannot concatenate size {u.size} with size {v.size}")
-    return FiniteWord(u.letters + v.letters, u.size)
 
 
 def _primitive(cycle: tuple) -> tuple:
@@ -198,9 +186,21 @@ class LassoWord:
         return f"LassoWord({str(self)!r})"
 
 
-def normalize(l: LassoWord) -> LassoWord:
-    """Canonical representative (idempotent: construction canonicalizes)."""
-    return LassoWord(l.spoke, l.cycle, size=l.size)
+def lasso_positions(w: LassoWord):
+    """The positions 0 .. |uv|-1 of u(v) as a product component: the letter
+    at a position, and the position after it (the last one steps back to
+    |u|, the start of the cycle)."""
+    u, v = w.spoke.letters, w.cycle.letters
+    total = len(u) + len(v)
+
+    def letter(pos):
+        return u[pos] if pos < len(u) else v[pos - len(u)]
+
+    def advance(pos):
+        nxt = pos + 1
+        return nxt if nxt < total else len(u)
+
+    return letter, advance
 
 
 class KnjEncodedWord:
@@ -230,12 +230,6 @@ class KnjEncodedWord:
     def block_run(self, i: int) -> int:
         """Length of each 2-run in block i."""
         return pairs.m_offset(self.j + i + 1)
-
-    def block_start(self, i: int) -> int:
-        pos = self.n
-        for k in range(i):
-            pos += 2 * self.block_run(k) + 2
-        return pos
 
     def letter_at(self, i: int) -> int:
         if i < self.n:
@@ -290,42 +284,8 @@ class KnjEncodedWord:
         return f"KnjEncodedWord({self.n}, {self.j}, {self.m!r})"
 
 
-class KnjTailWord:
-    """Suffix of a carrier word at a cut that has no carrier address."""
-
-    __slots__ = ("base", "drop")
-
-    def __init__(self, base: KnjEncodedWord, drop: int):
-        if drop < 0:
-            raise WorkbenchError("drop must be nonnegative")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "drop", drop)
-
-    def __setattr__(self, *_):
-        raise AttributeError("KnjTailWord is immutable")
-
-    size = 4
-
-    def letter_at(self, i: int) -> int:
-        return self.base.letter_at(self.drop + i)
-
-    def prefix(self, n: int) -> FiniteWord:
-        return self.base.prefix(self.drop + n)[self.drop:]
-
-    def __eq__(self, other):
-        if isinstance(other, KnjTailWord):
-            return (self.base, self.drop) == (other.base, other.drop)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.base, self.drop))
-
-    def __repr__(self):
-        return f"KnjTailWord({self.base!r}, drop={self.drop})"
-
-
 # Any omega-word value handled by the deciders.
-SyntheticWord = (LassoWord, KnjEncodedWord, KnjTailWord)
+SyntheticWord = (LassoWord, KnjEncodedWord)
 
 
 def prefix(w, n: int) -> FiniteWord:
@@ -340,67 +300,12 @@ def prefix(w, n: int) -> FiniteWord:
     raise TypeError(f"not a word: {w!r}")
 
 
-def letter_at(w, i: int) -> int:
-    if isinstance(w, FiniteWord):
-        return w.letters[i]
-    return w.letter_at(i)
-
-
-def _lasso_drop(m: LassoWord, k: int) -> LassoWord:
-    """m with its first k letters removed."""
-    u, v = m.spoke.letters, m.cycle.letters
-    if k <= len(u):
-        return LassoWord(u[k:], v, size=m.size)
-    r = (k - len(u)) % len(v)
-    return LassoWord((), v[r:] + v[:r], size=m.size)
-
-
-def _knj_cut(base: KnjEncodedWord, n: int):
-    """Suffix of a carrier word after n letters, renormalized when the cut
-    lands in the leading run or in a trailing 2-run."""
-    if n == 0:
-        return base
-    if n <= base.n:
-        return KnjEncodedWord(base.n - n, base.j, base.m)
-    pos = base.n
-    i = 0
-    while True:
-        run = base.block_run(i)
-        tail_start = pos + run + 2
-        block_end = tail_start + run
-        if tail_start <= n <= block_end:
-            return KnjEncodedWord(block_end - n, base.j + i + 1, _lasso_drop(base.m, i + 1))
-        if n < tail_start:
-            return KnjTailWord(base, n)
-        pos = block_end
-        i += 1
-
-
-def suffix_from(w, s: FiniteWord):
-    """The word w with its prefix s removed; s must actually be a prefix."""
-    if not isinstance(s, FiniteWord):
-        raise TypeError("the prefix to drop must be a finite word")
-    n = len(s)
-    if prefix(w, n) != s:
-        raise NotAPrefix(f"{s} is not a prefix of {w}")
-    if isinstance(w, LassoWord):
-        u, v = w.spoke.letters, w.cycle.letters
-        if n <= len(u):
-            return LassoWord(u[n:], v, size=w.size)
-        r = (n - len(u)) % len(v)
-        return LassoWord((), v[r:] + v[:r], size=w.size)
-    if isinstance(w, KnjEncodedWord):
-        return _knj_cut(w, n)
-    if isinstance(w, KnjTailWord):
-        return _knj_cut(w.base, w.drop + n)
-    raise TypeError(f"not an omega-word: {w!r}")
-
-
 def run_decompose(s: FiniteWord):
     """Runs of 2s between delimiter letters.
 
     Returns [(delimiter, following 2-run length), ...]; a nonempty leading
-    2-run is reported with delimiter None.  Lossless with run_recompose.
+    2-run is reported with delimiter None.  Lossless: writing each delimiter
+    followed by its run of 2s gives back s.
     """
     letters = s.letters if isinstance(s, FiniteWord) else tuple(s)
     out = []
@@ -421,12 +326,3 @@ def run_decompose(s: FiniteWord):
         out.append((d, j - i))
         i = j
     return out
-
-
-def run_recompose(runs, size=4) -> FiniteWord:
-    out = []
-    for d, k in runs:
-        if d is not None:
-            out.append(d)
-        out.extend([2] * k)
-    return FiniteWord(out, size)

@@ -4,25 +4,19 @@ three low-level witness languages."""
 import itertools
 import random
 
-import pytest
-
 from omegapower import (
+    FiniteWord as word,
     LassoWord,
     Member,
-    WorkbenchError,
     accepts_finite,
-    automaton_from_json,
-    automaton_to_json,
-    baire_embed_prefix,
     lasso_accepts,
-    make_automaton,
     omega_power_automaton,
     pinf_member,
-    word,
     xi1_sigma_witness,
     zero_star_one_automaton,
     zero_word_automaton,
 )
+from omegapower.automata import make_automaton
 from omegapower.corpus import corpus_lassos
 from omegapower.oracles import omega_factor_evidence
 
@@ -83,28 +77,6 @@ def test_empty_language_omega_power_is_empty():
     aut = omega_power_automaton(empty)
     for w in corpus_lassos(2, 3, 3):
         assert not lasso_accepts(aut, w)
-
-
-def test_baire_embedding_frozen():
-    assert str(baire_embed_prefix([0])) == "1"
-    assert str(baire_embed_prefix([2, 0])) == "0011"
-    assert str(baire_embed_prefix([])) == "ε"
-    assert str(baire_embed_prefix([1, 1])) == "0101"
-
-
-def test_json_roundtrip():
-    v = xi1_sigma_witness()
-    again = automaton_from_json(automaton_to_json(v))
-    assert again == v
-    for n in range(5):
-        for tup in itertools.product((0, 1), repeat=n):
-            w = word(tup, 2)
-            assert accepts_finite(again, w) == accepts_finite(v, w)
-
-
-def test_json_rejects_malformed():
-    with pytest.raises(WorkbenchError):
-        automaton_from_json("{}")
 
 
 def _random_automaton(rng):

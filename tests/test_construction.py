@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegapower import (
+    FiniteWord as word,
     InMuOmega,
     KnjEncodedWord,
     LassoWord,
@@ -28,16 +29,14 @@ from omegapower import (
     mu_omega_member,
     pi_member,
     pi_omega_knj_member,
-    prefix,
-    suffix_from,
-    word,
 )
 from omegapower.construction import BlockProfile, PiDecomposition, _f_from_profile
 from omegapower.pairs import m_index, q_of_index, successors
-from omegapower.rtree import diag_tree, full_tree, qf_member, r_contains, ts_lasso_accepts
+from omegapower.rtree import diag_tree, full_tree, r_contains, ts_lasso_accepts
 from omegapower.words import FiniteWord
 
 from suitability_reference import two_probe_is_suitable
+from tree_reference import qf_member
 
 FULL = full_tree()
 DIAG = diag_tree()
@@ -276,13 +275,6 @@ def test_mu_omega_rejects_carrier_words():
                 assert mu_omega_member(KnjEncodedWord(n, j, m)) is Member.NO
 
 
-def test_mu_omega_tail_words_unsupported():
-    k = KnjEncodedWord(0, 0, LassoWord("", "1"))
-    t = suffix_from(k, prefix(k, 3))
-    with pytest.raises(TypeError):
-        mu_omega_member(t)
-
-
 def test_classification_frozen():
     t, s_len, j = f_map(KnjEncodedWord(0, 0, LassoWord("", "1")))
     assert (len(t), s_len, j) == (0, 0, 1)
@@ -294,6 +286,8 @@ def test_classification_frozen():
         f_map(LassoWord("", W_MU1.letters, size=4))
     with pytest.raises(TypeError):
         f_map(word("122223", 4))
+    with pytest.raises(TypeError):
+        mu_omega_member(word("122223", 4))
 
 
 def test_classification_triples_distinct_on_grid():

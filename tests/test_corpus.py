@@ -3,7 +3,7 @@ seeded random sampler."""
 
 import pytest
 
-from omegapower import corpus_lassos, normalize, random_lassos, t_lasso, t_member
+from omegapower import LassoWord, corpus_lassos, random_lassos, t_lasso, t_member
 
 from corpus_reference import filter_after_canonical
 
@@ -27,7 +27,7 @@ def test_enumeration_is_canonical_and_duplicate_free():
     listed = list(corpus_lassos(2, 3, 3))
     assert len(listed) == len(set(listed))
     for w in listed:
-        assert normalize(w) == w
+        assert LassoWord(w.spoke, w.cycle, size=w.size) == w
 
 
 def test_enumeration_deterministic():
@@ -51,7 +51,7 @@ def test_random_sampler_is_seeded():
     assert len(a) == len(set(a)) == 50
     for w in a:
         assert len(w.spoke) <= 4 and len(w.cycle) <= 4
-        assert normalize(w) == w
+        assert LassoWord(w.spoke, w.cycle, size=w.size) == w
 
 
 def test_random_sampler_filter():

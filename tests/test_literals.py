@@ -4,16 +4,16 @@ carrier addresses."""
 import pytest
 
 from omegapower import (
-    EPSILON,
     FiniteWord,
+    FiniteWord as word,
     KnjEncodedWord,
     LassoWord,
     LiteralSyntaxError,
     corpus_lassos,
     format_word,
     parse_word_literal,
-    word,
 )
+from omegapower.literals import EPSILON
 
 
 def test_finite_literals():

@@ -15,15 +15,12 @@ from omegapower import (
     xi1_sigma_witness,
     zero_word_automaton,
 )
-from omegapower.oracles import (
-    brute_normalize_parts,
-    enumerate_pairs,
-    omega_factor_evidence,
-    stabilized_erase_prefix,
-)
+from omegapower.oracles import enumerate_pairs, omega_factor_evidence
 from omegapower.rtree import diag_tree, full_tree, ts_lasso_accepts
 
 from boundary_reference import matrix_lasso_accepts
+from erase_reference import stabilized_erase_prefix
+from word_reference import brute_normalize_parts
 
 
 def test_enumerate_pairs_order_and_length():

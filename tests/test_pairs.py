@@ -9,7 +9,6 @@ from omegapower import (
     QPair,
     WorkbenchError,
     index_of_q,
-    is_transition,
     m_index,
     m_offset,
     q_of_index,
@@ -117,9 +116,9 @@ def test_successors_frozen():
 
 
 def test_is_transition_frozen():
-    assert is_transition(0, 1, 4)
-    assert not is_transition(0, 1, 3)
-    assert not is_transition(1, 0, 1)
+    assert 4 in successors(0, 1)
+    assert 3 not in successors(0, 1)
+    assert 1 not in successors(1, 0)
 
 
 def test_successors_extend_by_one_letter():

@@ -24,6 +24,8 @@ from omegapower.erasing import e_counter_member, erase_fin
 from omegapower.suites import SuiteReport, _Collector
 from omegapower.words import FiniteWord
 
+from tree_reference import tree_to_json
+
 
 def test_registry():
     assert sorted(SUITES) == [
@@ -272,3 +274,17 @@ def test_case_labels_keep_their_form_when_formatted_on_failure(monkeypatch):
     assert report.counterexamples[0][0] == f"full {first}"
     want = ts_lasso_accepts(full_tree(), 0, first.m)
     assert report.counterexamples[0][1:] == [str(want), str(not want)]
+
+
+def test_a_omega_decomposition_resolves_its_tree(tmp_path):
+    diag = omegapower.diag_tree()
+    path = tmp_path / "tree.json"
+    path.write_text(tree_to_json(diag), encoding="utf-8")
+    assert suites._resolve_tree(diag) is diag
+    assert suites._resolve_tree(None).name == suites._resolve_tree("full").name == "full"
+    assert suites._resolve_tree("diag").name == "diag"
+    assert suites._resolve_tree(str(path)).delta == diag.delta
+    with pytest.raises(WorkbenchError):
+        suites._resolve_tree(str(tmp_path / "missing.json"))
+    by_name = run_suite("a-omega-decomposition", bound=1, tree="diag")
+    assert by_name.to_json() == run_suite("a-omega-decomposition", bound=1, tree=diag).to_json()
