@@ -77,5 +77,4 @@ from .words import (
     LassoWord,
     canonical_parts,
     prefix,
-    run_decompose,
 )

@@ -14,9 +14,11 @@ Finite words of interest decompose into blocks m 2^P 3 2^R after a leading
   carrier    words 2^N m_0 2^{M_{j+1}} 3 2^{M_{j+1}} ... (see words.py).
 
 mu-parses are unique: the block decomposition of a finite word is forced by
-its letters, so membership is a deterministic scan.  pi-decompositions are
-unique too: the first P-run pins j, the trailing run pins the last chain
-index, and prefixes of its pair pin the interior.
+its letters (every block starts at its letter 0 or 1, and every 2-run ends
+at the next non-2 letter), so membership reads one regular-expression parse
+of the letters.  pi-decompositions are unique too: the first P-run pins j,
+the trailing run pins the last chain index, and prefixes of its pair pin the
+interior.
 
 For omega-powers: an infinite word is a product of mu-words of one form
 iff it carries the infinite block shape, all P-runs are M-values, and that
@@ -28,6 +30,7 @@ lies in the M-shaped class without being a mu-product, which makes the
 classification map total on lassos only through its error cases.
 """
 
+import re
 from dataclasses import dataclass
 
 from . import pairs
@@ -35,12 +38,7 @@ from .erasing import _recurs
 from .errors import InMuOmega, NotInP, WorkbenchError
 from .rtree import RTreePresentation, r_contains
 from .verdicts import Member
-from .words import (
-    FiniteWord,
-    KnjEncodedWord,
-    LassoWord,
-    run_decompose,
-)
+from .words import FiniteWord, KnjEncodedWord, LassoWord
 
 
 # ---------------------------------------------------------------- finite
@@ -53,25 +51,29 @@ class PiDecomposition:
     blocks: tuple
 
 
+# letters as bytes: the lead 2-run, then one or more blocks m 2^P 3 2^R
+_BLOCK_WORD = re.compile(rb"(\x02*)(?:[\x00\x01]\x02*\x03\x02*)+")
+_BLOCK = re.compile(rb"[\x00\x01](\x02*)\x03(\x02*)")
+
+
 def _delimited_blocks(s: FiniteWord):
-    """(leading 2-run, [(m, P, R), ...]) if s alternates m 2^P 3 2^R, else None."""
-    runs = run_decompose(s)
-    idx = 0
-    lead = 0
-    if runs and runs[0][0] is None:
-        lead = runs[0][1]
-        idx = 1
-    rest = runs[idx:]
-    if not rest or len(rest) % 2 != 0:
+    """(leading 2-run, [(m, P, R), ...]) if s is 2^N (m 2^P 3 2^R)+ with m
+    in {0, 1}, else None.
+
+    One fullmatch over the letter bytes decides the grammar, and finditer
+    reads the blocks off the group spans, so no letter is visited from
+    Python and no run is copied.  The nested repeat backtracks only
+    linearly: a block starts at a letter 0 or 1, never at a 2, so a 2-run
+    has one place to end, and on failure each run is given back letter by
+    letter once, each step failing at once."""
+    text = bytes(s.letters)
+    whole = _BLOCK_WORD.fullmatch(text)
+    if whole is None:
         return None
-    blocks = []
-    for k in range(0, len(rest), 2):
-        m, p = rest[k]
-        d, r = rest[k + 1]
-        if m not in (0, 1) or d != 3:
-            return None
-        blocks.append((m, p, r))
-    return lead, blocks
+    return whole.end(1), [
+        (text[b.start()], b.end(1) - b.start(1), b.end(2) - b.start(2))
+        for b in _BLOCK.finditer(text)
+    ]
 
 
 def pi_member(s: FiniteWord, r: RTreePresentation):

@@ -299,30 +299,3 @@ def prefix(w, n: int) -> FiniteWord:
         return w.prefix(n)
     raise TypeError(f"not a word: {w!r}")
 
-
-def run_decompose(s: FiniteWord):
-    """Runs of 2s between delimiter letters.
-
-    Returns [(delimiter, following 2-run length), ...]; a nonempty leading
-    2-run is reported with delimiter None.  Lossless: writing each delimiter
-    followed by its run of 2s gives back s.
-    """
-    letters = s.letters if isinstance(s, FiniteWord) else tuple(s)
-    out = []
-    i = 0
-    n = len(letters)
-    j = i
-    while j < n and letters[j] == 2:
-        j += 1
-    if j > i:
-        out.append((None, j - i))
-    i = j
-    while i < n:
-        d = letters[i]
-        i += 1
-        j = i
-        while j < n and letters[j] == 2:
-            j += 1
-        out.append((d, j - i))
-        i = j
-    return out

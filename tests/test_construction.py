@@ -3,7 +3,6 @@ blocks), the mu defect languages, their omega-powers, the classification
 map, and the carrier-set omega decision."""
 
 import itertools
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -30,13 +29,19 @@ from omegapower import (
     pi_member,
     pi_omega_knj_member,
 )
-from omegapower.construction import BlockProfile, PiDecomposition, _f_from_profile
+from omegapower.construction import (
+    BlockProfile,
+    PiDecomposition,
+    _delimited_blocks,
+    _f_from_profile,
+)
 from omegapower.pairs import m_index, q_of_index, successors
 from omegapower.rtree import diag_tree, full_tree, r_contains, ts_lasso_accepts
 from omegapower.words import FiniteWord
 
 from suitability_reference import two_probe_is_suitable
 from tree_reference import qf_member
+from word_reference import delimited_blocks
 
 FULL = full_tree()
 DIAG = diag_tree()
@@ -157,21 +162,46 @@ def test_a_member():
 
 # ------------------------------------------- exhaustive shape cross-check
 
-def _reference_blocks(s):
-    text = "".join(map(str, s.letters))
-    m = re.fullmatch(r"(2*)((?:[01]2*32*)+)", text)
-    if not m:
-        return None
-    lead = len(m.group(1))
-    blocks = [
-        (int(g[0]), len(g[1]), len(g[2]))
-        for g in re.findall(r"([01])(2*)3(2*)", m.group(2))
-    ]
-    return lead, blocks
+def test_block_parse_matches_run_reference_exhaustively():
+    for n in range(8):
+        for tup in itertools.product((0, 1, 2, 3), repeat=n):
+            s = FiniteWord(tup, 4)
+            assert _delimited_blocks(s) == delimited_blocks(s), str(s)
+
+
+# runs at and next to the block offsets, where the mu and pi predicates turn
+_RUNS = st.sampled_from(
+    sorted({0, 1} | {m_offset(j) + d for j in range(10) for d in (-1, 0, 1)} - {-1})
+)
+
+
+@st.composite
+def _block_words_and_splice_points(draw):
+    letters = (2,) * draw(_RUNS)
+    points = []
+    for _ in range(draw(st.integers(1, 2))):
+        p = draw(_RUNS)
+        n = len(letters)
+        points += [n, n + 1 + p, n + 1, n + 2 + p]  # m, 3, first of P, first of R
+        letters += blk(draw(st.integers(0, 1)), p, draw(_RUNS))
+    points.append(0)  # first of the lead run, or the first block letter
+    return letters, min(draw(st.sampled_from(points)), len(letters) - 1)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(_block_words_and_splice_points())
+def test_block_parse_matches_run_reference_near_offsets(case):
+    # each of the four letters in turn replaces the one at a delimiter or at
+    # the start of a run; words are built trusted, as checking every letter
+    # of runs this long would take most of the test's time
+    letters, at = case
+    for stray in range(4):
+        s = FiniteWord._trusted(letters[:at] + (stray,) + letters[at + 1 :], 4)
+        assert _delimited_blocks(s) == delimited_blocks(s), (at, stray)
 
 
 def _reference_mu(s, which):
-    parsed = _reference_blocks(s)
+    parsed = delimited_blocks(s)
     if parsed is None or len(parsed[1]) < 2:
         return False
     _, blocks = parsed
@@ -184,7 +214,7 @@ def _reference_mu(s, which):
 
 
 def _reference_pi(s, r):
-    parsed = _reference_blocks(s)
+    parsed = delimited_blocks(s)
     if not parsed or not parsed[1]:
         return False
     n0, blocks = parsed

@@ -1,5 +1,5 @@
 """Word types: finite words, canonical lassos, carrier-set words, and the
-run-length view used by the block parsers."""
+run-length reference view that the block parse is checked against."""
 
 import itertools
 
@@ -17,10 +17,9 @@ from omegapower import (
     canonical_parts,
     m_offset,
     prefix,
-    run_decompose,
 )
 
-from word_reference import block_start, brute_normalize_parts, run_recompose
+from word_reference import block_start, brute_normalize_parts, run_decompose, run_recompose
 
 
 def test_finite_word_letters_are_plain_ints():
