@@ -33,7 +33,7 @@ from .erasing import a3_member, a3_omega_member, e_def_member, erase_fin, t_memb
 from .errors import WorkbenchError
 from .literals import format_word, parse_word_literal
 from .rtree import load_tree
-from .suites import SUITES, run_suite
+from .suites import SUITES, check_bound, run_suite
 from .verdicts import UNDETERMINED, Member
 from .words import FiniteWord, KnjEncodedWord, LassoWord
 from .erasing import erase_lasso
@@ -190,6 +190,7 @@ def _cmd_omega(args):
 
 def _cmd_verify(args):
     tree = load_tree(args.rtree)
+    check_bound(args.suite, args.bound)
     out = None
     if args.out:
         # open before the run, so a bad path fails at once

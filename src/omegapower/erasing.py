@@ -40,6 +40,34 @@ def _letters3(w) -> tuple:
     return letters
 
 
+def _never_below(letters) -> bool:
+    """Whether no prefix of the checked letters has more 2s than 1s."""
+    c = 0
+    for x in letters:
+        if x == 1:
+            c += 1
+        elif x == 2:
+            if not c:
+                return False
+            c -= 1
+    return True
+
+
+def _erase(letters) -> list:
+    """The erasing map on checked letters of a word in T, as a list."""
+    emitted = []
+    live = []
+    for x in letters:
+        if x == 0:
+            emitted.append(0)
+        elif x == 1:
+            live.append(len(emitted))
+            emitted.append(1)
+        else:
+            emitted[live.pop()] = 0
+    return emitted
+
+
 def t_lasso(u, v) -> bool:
     """Whether the lasso u(v), given as letter sequences, lies in T: no
     prefix of u v has more 2s than 1s, and the cycle does not lose ground.
@@ -50,15 +78,7 @@ def t_lasso(u, v) -> bool:
     copy, and with b < 0 the count eventually goes below 0."""
     u = _letters3(u)
     v = _letters3(v)
-    c = 0
-    for x in u + v:
-        if x == 1:
-            c += 1
-        elif x == 2:
-            if not c:
-                return False
-            c -= 1
-    return v.count(1) >= v.count(2)
+    return _never_below(u + v) and v.count(1) >= v.count(2)
 
 
 def t_member(w) -> bool:
@@ -66,29 +86,14 @@ def t_member(w) -> bool:
     cannot lose ground (see t_lasso)."""
     if isinstance(w, LassoWord):
         return t_lasso(w.spoke.letters, w.cycle.letters)
-    c = 0
-    for x in _letters3(w):
-        c += (x == 1) - (x == 2)
-        if c < 0:
-            return False
-    return True
+    return _never_below(_letters3(w))
 
 
 def erase_fin(s: FiniteWord) -> FiniteWord:
     letters = _letters3(s)
-    emitted = []
-    live = []
-    for x in letters:
-        if x == 0:
-            emitted.append(0)
-        elif x == 1:
-            live.append(len(emitted))
-            emitted.append(1)
-        else:
-            if not live:
-                raise NotInT("a 2 arrived with no unflipped 1 to its left")
-            emitted[live.pop()] = 0
-    return FiniteWord._trusted(tuple(emitted), 2)
+    if not _never_below(letters):
+        raise NotInT("a 2 arrived with no unflipped 1 to its left")
+    return FiniteWord._trusted(tuple(_erase(letters)), 2)
 
 
 def erase_lasso(a: LassoWord, budget: int = 4096):
@@ -167,14 +172,10 @@ def e_def_member(s: FiniteWord) -> bool:
     """Defining characterization: s in T, balanced, nonempty, and erasing
     all but the last letter leaves a word starting with 1."""
     letters = _letters3(s)
-    if not letters:
+    if not letters or letters.count(1) != letters.count(2) or not _never_below(letters):
         return False
-    if letters.count(1) != letters.count(2):
-        return False
-    if not t_member(s):
-        return False
-    front = erase_fin(FiniteWord._trusted(letters[:-1], 3))
-    return len(front) > 0 and front.letters[0] == 1
+    # a prefix of a word in T is in T
+    return _erase(letters[:-1])[:1] == [1]
 
 
 def e_counter_member(s: FiniteWord) -> bool:
@@ -198,7 +199,7 @@ def a3_member(s: FiniteWord) -> bool:
     n = len(letters)
     if letters == (0,):
         return True
-    if e_counter_member(s):
+    if e_counter_member(letters):
         return True
     if letters == (1,):
         return False

@@ -38,8 +38,10 @@ class QPair:
         """A pair from equal-length bit tuples already known to be binary,
         for q_of_index; public construction checks every bit."""
         p = object.__new__(cls)
-        object.__setattr__(p, "beta", beta)
-        object.__setattr__(p, "alpha", alpha)
+        # frozen blocks setattr, not the instance dict the fields live in
+        fields = p.__dict__
+        fields["beta"] = beta
+        fields["alpha"] = alpha
         return p
 
     def __len__(self):
@@ -73,38 +75,42 @@ def m_index(value: int):
     return (x.bit_length() - 3) // 2
 
 
-def _bits_of(value: int, width: int) -> Bits:
-    return tuple([value >> k & 1 for k in range(width - 1, -1, -1)])
+def _length_rank(n: int):
+    """(L, rank) of the pair of index n: its length and its place among the
+    4^L pairs of that length, whose 2L binary digits are beta then alpha."""
+    if n < 0:
+        raise WorkbenchError("pair index must be nonnegative")
+    # the smallest L with M_L >= n: 4^(L+1) >= 3n + 4, i.e. 2L + 2 >= bits of 3n + 3
+    length = ((3 * n + 3).bit_length() + 1) // 2 - 1
+    # minus (4^L - 1) // 3 = M_(L-1) + 1, the first index of length L (0 for L = 0)
+    return length, n - ((1 << 2 * length) - 1) // 3
 
 
 def split_index(n: int):
     """(length, beta, alpha) of the pair of index n, its two components as
     integers whose length-bit binary forms are the bit words."""
-    if n < 0:
-        raise WorkbenchError("pair index must be nonnegative")
-    # the smallest L with M_L >= n: 4^(L+1) >= 3n + 4, i.e. 2L + 2 >= bits of 3n + 3
-    length = max(0, ((3 * n + 3).bit_length() + 1) // 2 - 1)
-    if length == 0:
-        return 0, 0, 0
-    rank = n - (4 ** length - 4) // 3 - 1  # minus M_{L-1} + 1, the first index of length L
+    length, rank = _length_rank(n)
     return length, rank >> length, rank & ((1 << length) - 1)
 
 
+# binary digits to bits and back, for bytes.translate
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def q_of_index(n: int) -> QPair:
-    length, beta, alpha = split_index(n)
-    return QPair._trusted(_bits_of(beta, length), _bits_of(alpha, length))
+    length, rank = _length_rank(n)
+    # a leading 1 keeps all 2L digits of beta alpha, leading zeros included
+    bits = tuple(f"{1 << 2 * length | rank:b}".encode().translate(_DIGIT_BITS))
+    return QPair._trusted(bits[1 : length + 1], bits[length + 1 :])
 
 
 def index_of_q(pair: QPair) -> int:
-    length = len(pair)
+    length = len(pair.beta)
     if length == 0:
         return 0
-    beta = 0
-    alpha = 0
-    for b, a in zip(pair.beta, pair.alpha):
-        beta = (beta << 1) | b
-        alpha = (alpha << 1) | a
-    return m_offset(length - 1) + 1 + (beta << length) + alpha
+    digits = bytes(pair.beta + pair.alpha).translate(_BIT_DIGITS)
+    return ((1 << 2 * length) - 1) // 3 + int(digits, 2)
 
 
 def successors(n: int, m: int) -> frozenset:

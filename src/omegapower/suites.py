@@ -9,6 +9,7 @@ identical runs produce identical bytes.
 
 import itertools
 import json
+import operator
 import time
 
 from . import pairs
@@ -21,7 +22,7 @@ from .automata import (
     zero_word_automaton,
 )
 from .construction import a_member, a_omega_member, f_map, mu_omega_member, pi_omega_knj_member
-from .corpus import corpus_lassos, random_lassos
+from .corpus import corpus_lassos, random_lassos, t_keep
 from .erasing import (
     a3_omega_member,
     b2_omega_member,
@@ -29,7 +30,6 @@ from .erasing import (
     e_def_member,
     e_preimage_check,
     erase_fin,
-    t_lasso,
     t_member,
 )
 from .errors import WorkbenchError
@@ -325,18 +325,26 @@ def _suite_erase_homomorphism(bound, seed, tree, budget):
 
 
 def _suite_e_dual(bound, seed, tree, budget):
+    """Both characterizations of E on every word over {0,1,2} up to the
+    bound, one call to each per word; only a failing run walks the words
+    again, to report its first counterexamples."""
     bound = 10 if bound is None else bound
     col = _Collector()
-    misses = 0
-    count = 0
-    for w in _words3_up_to(bound):
-        count += 1
-        if e_def_member(w) != e_counter_member(w):
-            misses += 1
-            col.fail_only(
-                "".join(map(str, w)) or "ε", e_def_member(w), e_counter_member(w)
-            )
-    col.bulk_pass(count - misses)
+    misses = sum(
+        map(
+            operator.ne,
+            map(e_def_member, _words3_up_to(bound)),
+            map(e_counter_member, _words3_up_to(bound)),
+        )
+    )
+    for w in _words3_up_to(bound):  # a passing run stops at once
+        if col.failed == min(misses, EXAMPLE_CAP):
+            break
+        want, got = e_def_member(w), e_counter_member(w)
+        if want != got:
+            col.fail_only("".join(map(str, w)) or "ε", want, got)
+    col.bulk_fail(misses - col.failed)
+    col.bulk_pass((3 ** (bound + 1) - 1) // 2 - misses)
     return {"bound": bound}, col
 
 
@@ -348,9 +356,9 @@ def _suite_sigma2_main(bound, seed, tree, budget):
     seed = 20260814 if seed is None else seed
     budget = 10_000 if budget is None else budget
     col = _Collector()
-    cases = list(corpus_lassos(3, bound, bound, keep=t_lasso))
+    cases = list(corpus_lassos(3, bound, bound, keep=t_keep))
     pool = set(cases)
-    for w in random_lassos(3, SIGMA2_SAMPLES, 8, 8, seed, keep=t_lasso):
+    for w in random_lassos(3, SIGMA2_SAMPLES, 8, 8, seed, keep=t_keep):
         if w not in pool:
             pool.add(w)
             cases.append(w)
@@ -481,6 +489,25 @@ SUITES = {
 }
 
 
+# The largest bound each finite suite accepts, so that a run ends in seconds,
+# not hours: pair-enum-roundtrip checks one index per unit of bound,
+# erase-homomorphism every pair of T-words up to the bound (709,742,881 at
+# 10) and E-dual-characterization (3^(bound+1) - 1) / 2 words (7,174,453 at
+# 14).  Each lies above the suite's default and acceptance-gate bounds.
+MAX_BOUNDS = {
+    "pair-enum-roundtrip": 1_000_000,
+    "erase-homomorphism": 10,
+    "E-dual-characterization": 14,
+}
+
+
+def check_bound(name, bound):
+    """Refuse a bound past the suite's maximum in MAX_BOUNDS."""
+    limit = MAX_BOUNDS.get(name)
+    if bound is not None and limit is not None and bound > limit:
+        raise WorkbenchError(f"{name} takes a bound of at most {limit}, got {bound}")
+
+
 def run_suite(name, bound=None, seed=None, tree=None, budget=None) -> SuiteReport:
     try:
         fn = SUITES[name]
@@ -488,6 +515,7 @@ def run_suite(name, bound=None, seed=None, tree=None, budget=None) -> SuiteRepor
         raise WorkbenchError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         ) from None
+    check_bound(name, bound)
     t0 = time.monotonic()
     params, col = fn(bound=bound, seed=seed, tree=tree, budget=budget)
     runtime_ms = int((time.monotonic() - t0) * 1000)

@@ -15,6 +15,7 @@ PACKAGE = ROOT / "src" / "omegapower"
 PAPER_OBJECTS = {
     "is_suitable": "the suitable triples (t, S, j) that the classification map F takes",
     "ts_replay": "an accepting run of the coded transition system, as guessed bits",
+    "t_lasso": "membership in T of the omega-word u v^omega, given by its parts",
 }
 
 # package metadata, not API

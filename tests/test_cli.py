@@ -227,6 +227,19 @@ def test_negative_bound_is_a_usage_error(capsys):
     assert "--bound" in err
 
 
+def test_bound_past_the_suite_maximum_is_a_usage_error(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    for suite in ("pair-enum-roundtrip", "erase-homomorphism", "E-dual-characterization"):
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--bound", "100000000000000000000",
+            "--out", str(report),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "\n" not in err
+        assert "at most" in err
+        assert not report.exists()  # refused before the report file is opened
+
+
 def test_block_offset_too_long_to_print_is_a_usage_error(capsys):
     code, out, err = run(capsys, "enum", "m", "--j", "100000")
     assert code == 2 and out == ""

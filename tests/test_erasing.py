@@ -114,11 +114,44 @@ def test_erase_length_law():
             assert len(out) == s.count(0) + s.count(1)
 
 
-@pytest.mark.parametrize("letters", [(0, 3), (-1,), ("1",), ([1],)])
-@pytest.mark.parametrize("decider", [t_member, erase_fin, e_def_member, e_counter_member])
+def test_erase_outside_t_raises():
+    for letters in ((2,), (1, 2, 2)):
+        with pytest.raises(NotInT):
+            erase_fin(letters)
+        with pytest.raises(NotInT):
+            erase_fin(word(letters, 3))
+
+
+def t_lasso_spoke(w):
+    return t_lasso(w, (0,))
+
+
+def t_lasso_cycle(w):
+    return t_lasso((), w)
+
+
+@pytest.mark.parametrize("letters", [(0, 3), (-1,), ("1",), ([1],), (1, 2, 3)])
+@pytest.mark.parametrize(
+    "decider",
+    [t_member, erase_fin, e_def_member, e_counter_member, t_lasso_spoke, t_lasso_cycle, a3_member],
+)
 def test_letters_outside_the_alphabet_are_rejected(decider, letters):
-    with pytest.raises(WorkbenchError):
-        decider(letters)
+    forms = [letters, list(letters), (x for x in letters)]
+    if all(x in range(4) for x in letters):
+        forms.append(FiniteWord(letters, 4))
+    for w in forms:
+        with pytest.raises(WorkbenchError):
+            decider(w)
+
+
+def test_deciders_read_any_letter_sequence():
+    # a generator is read once, so a decider must not read its argument twice
+    for tup in words3(5):
+        for decider in (t_member, e_def_member, e_counter_member, a3_member):
+            want = decider(FiniteWord(tup, 3))
+            assert decider(tup) == decider(list(tup)) == decider(iter(tup)) == want, tup
+        if t_member(tup):
+            assert erase_fin(iter(tup)) == erase_fin(tup)
 
 
 def test_erase_homomorphism_small():
@@ -170,7 +203,7 @@ def test_e_characterizations_agree():
 
 def test_e_words_start_one_end_two():
     for tup in words3(12):
-        if e_counter_member(FiniteWord(tup, 3)):
+        if e_counter_member(tup):
             assert tup and tup[0] == 1 and tup[-1] == 2
 
 

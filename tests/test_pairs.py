@@ -2,7 +2,7 @@
 block offsets, and the two-successor step relation."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegapower import (
@@ -15,6 +15,8 @@ from omegapower import (
     successors,
 )
 from omegapower.oracles import enumerate_pairs
+
+from pair_reference import index_of_pair_bits, pair_bits_of_index
 
 
 def bits(s):
@@ -107,6 +109,40 @@ def test_roundtrip_range():
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_roundtrip_random(n):
     assert index_of_q(q_of_index(n)) == n
+
+
+def _agrees_with_per_bit_reference(n):
+    beta, alpha = pair_bits_of_index(n)
+    q = q_of_index(n)
+    assert (q.beta, q.alpha) == (beta, alpha)
+    assert index_of_q(q) == index_of_pair_bits(beta, alpha) == n
+
+
+def test_index_arithmetic_matches_per_bit_reference():
+    for n in range(5000):
+        _agrees_with_per_bit_reference(n)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.integers(min_value=0, max_value=m_offset(40)))
+def test_index_arithmetic_matches_per_bit_reference_past_64_bits(n):
+    _agrees_with_per_bit_reference(n)
+
+
+def test_index_arithmetic_edge_pairs():
+    assert q_of_index(0) == QPair((), ())
+    assert q_of_index(0).beta == q_of_index(0).alpha == ()
+    assert index_of_q(QPair((), ())) == 0
+    # bool is an int subclass, so True and False are valid bits
+    for beta in ((True, False), (False, True)):
+        for alpha in ((True, True), (False, False)):
+            pair = QPair(beta, alpha)
+            assert index_of_q(pair) == index_of_pair_bits(beta, alpha)
+            assert q_of_index(index_of_q(pair)) == pair
+    last = m_offset(40)
+    assert last > 2**64
+    assert q_of_index(last) == QPair((1,) * 40, (1,) * 40)
+    assert index_of_q(QPair((0,) * 41, (0,) * 41)) == last + 1
 
 
 def test_successors_frozen():

@@ -252,6 +252,35 @@ def test_failed_cases_count_in_the_total(monkeypatch):
     assert report.cases_total == (3**6 - 1) // 2
 
 
+def test_e_dual_counts_every_word_up_to_the_bound():
+    for bound in range(4):
+        report = run_suite("E-dual-characterization", bound=bound)
+        assert report.cases_total == (3 ** (bound + 1) - 1) // 2
+        assert report.verdict == "pass"
+
+
+def test_e_dual_reports_its_first_counterexamples_in_corpus_order(monkeypatch):
+    def counter_flipped_on_length_three(w):
+        return e_counter_member(w) != (len(tuple(w)) == 3)
+
+    monkeypatch.setattr(suites, "e_counter_member", counter_flipped_on_length_three)
+    report = run_suite("E-dual-characterization", bound=3)
+    first = list(itertools.product((0, 1, 2), repeat=3))[: suites.EXAMPLE_CAP]
+    assert report.cases_total == 40 and report.cases_failed == 27
+    assert [c[0] for c in report.counterexamples] == ["".join(map(str, w)) for w in first]
+    assert report.counterexamples[5] == ["012", "False", "True"]
+
+
+def test_finite_suites_refuse_bounds_past_their_maximum():
+    gate = {"pair-enum-roundtrip": 100_000, "erase-homomorphism": 8, "E-dual-characterization": 12}
+    assert set(suites.MAX_BOUNDS) == set(gate)
+    for name, limit in suites.MAX_BOUNDS.items():
+        default = run_suite(name).parameters["bound"]
+        assert default <= gate[name] <= limit
+        with pytest.raises(WorkbenchError, match=f"at most {limit}"):
+            run_suite(name, bound=limit + 1)
+
+
 def test_words3_corpus_is_lazy_and_ordered():
     corpus = suites._words3_up_to(3)
     assert iter(corpus) is corpus
