@@ -70,7 +70,7 @@ from .rtree import (
     ts_replay,
 )
 from .suites import SUITES, VERSION as __version__, run_suite
-from .verdicts import UNDETERMINED, Member
+from .verdicts import Member
 from .words import (
     FiniteWord,
     KnjEncodedWord,

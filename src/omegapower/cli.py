@@ -29,14 +29,13 @@ from .construction import (
     mu_member,
     pi_member,
 )
-from .erasing import a3_member, a3_omega_member, e_def_member, erase_fin, t_member
+from .erasing import a3_member, a3_omega_member, e_def_member, erase_fin, erase_lasso, t_member
 from .errors import WorkbenchError
 from .literals import format_word, parse_word_literal
 from .rtree import load_tree
 from .suites import SUITES, check_bound, run_suite
-from .verdicts import UNDETERMINED, Member
+from .verdicts import Member
 from .words import FiniteWord, KnjEncodedWord, LassoWord
-from .erasing import erase_lasso
 
 _MEMBER_LANGS = {
     "E": (3, lambda w, r: e_def_member(w)),
@@ -140,11 +139,7 @@ def _cmd_erase(args):
     w = parse_word_literal(args.lasso, 3)
     if not isinstance(w, LassoWord):
         raise WorkbenchError(f"expected a lasso, got {format_word(w)}")
-    image = erase_lasso(w)
-    if image is UNDETERMINED:
-        print("undetermined")
-        return 3
-    print(format_word(image))
+    print(format_word(erase_lasso(w)))
     return 0
 
 

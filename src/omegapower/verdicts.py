@@ -1,9 +1,9 @@
 """Three-valued verdicts for omega-language membership queries.
 
-Deciders that search under a budget return Member.YES / Member.NO when a
-certificate (or a sound refutation) was found and Member.INCONCLUSIVE when
-the budget ran out first.  The enum deliberately has no truth value: callers
-must compare explicitly.
+Every decider answers Member.YES or Member.NO, except a3_omega_member under
+an E-depth budget below the lasso's depth cap: a run found at the budget's
+depth stands as YES, and anything else is Member.INCONCLUSIVE.  The enum
+deliberately has no truth value: callers must compare explicitly.
 """
 
 import enum
@@ -17,20 +17,3 @@ class Member(enum.Enum):
     @staticmethod
     def of(flag: bool) -> "Member":
         return Member.YES if flag else Member.NO
-
-
-class _Undetermined:
-    """Sentinel returned by erase_lasso when its cycle budget runs out."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Undetermined"
-
-
-UNDETERMINED = _Undetermined()

@@ -186,12 +186,32 @@ def test_verify_inconclusive_exit(capsys):
     ],
 )
 def test_unreadable_tree_file_is_a_usage_error(tmp_path, capsys, argv):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    for source in (tmp_path / "missing.json", bad):
+    row = {"00": "a", "01": "a", "10": "a", "11": "a"}
+    trees = {
+        "bad.json": ("{not json", "malformed tree document"),
+        "no-initial.json": (
+            {"states": ["a"], "initial": "b", "live": ["a"], "delta": {"a": row}},
+            "initial state unknown",
+        ),
+        "no-live.json": (
+            {"states": ["a"], "initial": "a", "live": ["a", "z"], "delta": {"a": row}},
+            "live state 'z' unknown",
+        ),
+        "no-target.json": (
+            {"states": ["a"], "initial": "a", "live": ["a"], "delta": {"a": {**row, "11": "z"}}},
+            "transition into unknown state 'z'",
+        ),
+    }
+    sources = [(tmp_path / "missing.json", "cannot read tree file")]
+    for name, (doc, message) in trees.items():
+        path = tmp_path / name
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        sources.append((path, message))
+    for source, message in sources:
         code, out, err = run(capsys, *argv, "--rtree", str(source))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "\n" not in err
+        assert message in err
 
 
 def test_negative_budget_is_a_usage_error(capsys):

@@ -15,7 +15,6 @@ from omegapower import (
     LassoWord,
     Member,
     NotInT,
-    UNDETERMINED,
     WorkbenchError,
     a3_member,
     a3_omega_member,
@@ -31,7 +30,7 @@ from omegapower import (
 )
 from omegapower.erasing import _accepts, _summaries, _warshall
 
-from erase_reference import stabilized_erase_prefix
+from erase_reference import erase_lasso_within, stabilized_erase_prefix
 
 
 def lasso(text):
@@ -170,16 +169,26 @@ def test_erase_lasso_frozen():
         erase_lasso(lasso("(21)"))
 
 
-def test_erase_lasso_budget():
+def test_erase_lasso_closes_within_two_cycles():
+    # the boundary-state loop needs exactly two cycles on 1(210)
     w = lasso("1(210)")
-    assert erase_lasso(w, budget=1) is UNDETERMINED
-    assert erase_lasso(w, budget=2) == LassoWord("", "0", size=2)
+    assert erase_lasso_within(w, 1) is None
+    assert erase_lasso_within(w, 2) == erase_lasso(w) == LassoWord("", "0", size=2)
+    # every T-lasso with |u| <= 4 and 1 <= |v| <= 4, as written
+    cases = [
+        LassoWord(u, v, size=3)
+        for u in words3(4)
+        for v in words3(4)
+        if v and t_lasso(u, v)
+    ]
+    assert len(cases) == 3840
+    for w in cases:
+        assert erase_lasso_within(w, 2) == erase_lasso(w), str(w)
 
 
 def test_erase_lasso_matches_stabilized_prefixes():
     for w in corpus_lassos(3, 3, 4, t_lasso):
         image = erase_lasso(w)
-        assert image is not UNDETERMINED
         stable = stabilized_erase_prefix(w, 48)
         assert image.prefix(len(stable)) == stable
 
@@ -401,6 +410,17 @@ def t_lassos(draw):
 def test_a3_omega_agrees_with_the_erased_image(w):
     assert t_member(w)
     assert a3_omega_member(w) is e_preimage_check(w)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(t_lassos())
+def test_erase_lasso_agrees_with_stabilized_prefixes(w):
+    # erasing u v v settles every letter emitted before the second v, so
+    # the stable prefix covers the image's spoke and one turn of its cycle
+    image = erase_lasso(w)
+    stable = stabilized_erase_prefix(w, len(w.spoke) + 2 * len(w.cycle))
+    assert len(stable) >= len(image.spoke) + len(image.cycle)
+    assert image.prefix(len(stable)) == stable
 
 
 def test_e_preimage_frozen():

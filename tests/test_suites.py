@@ -20,8 +20,9 @@ from omegapower import (
     ts_lasso_accepts,
 )
 from omegapower import suites
-from omegapower.erasing import e_counter_member, erase_fin
-from omegapower.suites import SuiteReport, _Collector
+from omegapower.erasing import a3_omega_member, e_counter_member, e_preimage_check, erase_fin
+from omegapower.suites import SuiteReport, _Collector, _sigma2_cases
+from omegapower.verdicts import Member
 from omegapower.words import FiniteWord
 
 from tree_reference import tree_to_json
@@ -137,6 +138,18 @@ def test_sigma2_suite_small_budget_reports_inconclusive_rate():
     report = run_suite("sigma2-main", bound=2, seed=5, budget=1)
     assert report.cases_failed == 0
     assert report.cases_inconclusive > 0
+    assert report.verdict == "inconclusive"
+
+
+def test_sigma2_budget_bounds_route_a_only():
+    # route B decides every case, so at budget 0 the suite is inconclusive
+    # exactly where a3_omega_member is
+    cases = _sigma2_cases(3, 20260814)
+    assert not any(e_preimage_check(w, 0) is Member.INCONCLUSIVE for w in cases)
+    undecided = sum(a3_omega_member(w, 0) is Member.INCONCLUSIVE for w in cases)
+    report = run_suite("sigma2-main", bound=3, budget=0)
+    assert report.cases_total == len(cases)
+    assert report.cases_inconclusive == undecided > 0
     assert report.verdict == "inconclusive"
 
 
