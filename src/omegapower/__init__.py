@@ -5,8 +5,9 @@ including carrier-set words (words), the carrier codec (knj), R-tree
 presentations and transition-system acceptance (rtree), the block-coded
 languages with their omega-power deciders (construction), the 3-letter
 witness language and erasing map (erasing), omega-power automata for the
-low-level witnesses (automata), plus literals, corpora, cross-check oracles,
-verification suites, and a CLI.
+low-level witnesses (automata), the accepting-cycle search of the second
+routes (lasso), plus literals, corpora, cross-check oracles, verification
+suites, and a CLI.
 
 This namespace exports the paper's objects and what the deciders, suites,
 CLI and perfbench call; types and helpers used inside one module are read

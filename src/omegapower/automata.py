@@ -7,14 +7,17 @@ edge into restart, and restart is the sole accepting state.  Visiting
 restart infinitely often cuts the input into infinitely many nonempty
 factors from L(V).
 
-lasso_accepts decides Buchi acceptance of u(v) by searching the product of
-the automaton with the positions of the lasso for a reachable cycle through
-an accepting product node.
+lasso_accepts decides Buchi acceptance of u(v): Automaton.codes compiles
+the automaton once into integer state ids, and lasso.accepting_lasso
+searches its product with the positions of the lasso for a reachable cycle
+through an edge into an accepting state.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import WorkbenchError
+from .lasso import accepting_lasso
 from .words import FiniteWord, LassoWord, lasso_positions
 
 
@@ -48,13 +51,25 @@ class Automaton:
     def step(self, state, letter):
         return self.delta.get(state, {}).get(letter, frozenset())
 
+    @cached_property
+    def codes(self) -> tuple:
+        """(succ, accepting, initial), compiled once per automaton on integer
+        ids that number self.states in order: succ[x][a] lists by id the
+        states x steps to on letter a, and bit x of accepting is set iff
+        state x is accepting."""
+        ids = {q: x for x, q in enumerate(self.states)}
+        succ = tuple(
+            tuple(tuple(sorted(ids[t] for t in self.step(q, a))) for a in range(self.size))
+            for q in self.states
+        )
+        return succ, sum(1 << ids[q] for q in self.accepting), ids[self.initial]
+
 
 def make_automaton(states, initial, accepting, size, edges) -> Automaton:
     """edges: iterable of (state, letter, state)."""
     delta = {}
     for q, a, t in edges:
-        delta.setdefault(q, {}).setdefault(a, set())
-        delta[q][a].add(t)
+        delta.setdefault(q, {}).setdefault(a, set()).add(t)
     frozen = {
         q: {a: frozenset(ts) for a, ts in row.items()} for q, row in delta.items()
     }
@@ -93,36 +108,22 @@ def omega_power_automaton(aut: Automaton) -> Automaton:
 
 
 def lasso_accepts(aut: Automaton, w: LassoWord) -> bool:
-    """Buchi acceptance of u v^omega: a reachable product cycle through an
-    accepting product node."""
-    letter, advance = lasso_positions(w)
-    start = (aut.initial, 0)
-    seen = {start}
-    stack = [start]
-    succs = {}
-    while stack:
-        q, pos = stack.pop()
-        nxt = [(t, advance(pos)) for t in aut.step(q, letter(pos))]
-        succs[(q, pos)] = nxt
-        for node in nxt:
-            if node not in seen:
-                seen.add(node)
-                stack.append(node)
-    for node in seen:
-        if node[0] not in aut.accepting:
-            continue
-        # node on a cycle: node reachable from node in >= 1 step
-        frontier = list(succs.get(node, ()))
-        visited = set(frontier)
-        while frontier:
-            cur = frontier.pop()
-            if cur == node:
-                return True
-            for t in succs.get(cur, ()):
-                if t not in visited:
-                    visited.add(t)
-                    frontier.append(t)
-    return False
+    """Buchi acceptance of u v^omega: a reachable cycle through an accepting
+    edge (one into an accepting state) of the product of aut.codes with the
+    positions of the lasso, on integer nodes state * len(uv) + pos."""
+    succ, accepting, initial = aut.codes
+    letters, after = lasso_positions(w)
+    if max(letters) >= aut.size:
+        return False  # an infinite run reads every letter of u and v
+    total = len(letters)
+
+    def step(node):
+        q, pos = divmod(node, total)
+        nxt = after[pos]
+        a = letters[pos]
+        return [(t * total + nxt, a, accepting >> t & 1) for t in succ[q][a]]
+
+    return accepting_lasso(initial * total, step) is not None
 
 
 def xi1_sigma_witness() -> Automaton:
@@ -167,12 +168,6 @@ def zero_star_one_automaton() -> Automaton:
 
 def pinf_member(w: LassoWord) -> bool:
     """Infinitely many 1s, i.e. the cycle contains a 1."""
-    for x in w.cycle.letters:
-        if x == 1:
-            return True
-        if x not in (0, 1):
-            raise WorkbenchError("pinf_member expects a binary word")
-    for x in w.spoke.letters:
-        if x not in (0, 1):
-            raise WorkbenchError("pinf_member expects a binary word")
-    return False
+    if not {0, 1}.issuperset(w.spoke.letters + w.cycle.letters):
+        raise WorkbenchError("pinf_member expects a binary word")
+    return 1 in w.cycle.letters

@@ -172,14 +172,14 @@ def a3_member(s: FiniteWord) -> bool:
     for i in range(n):
         if letters[i] != 1:
             continue
+        # c starts at 1 and moves by at most one a letter, so it meets 0
+        # before it could go negative
         c = 0
         for j in range(i, n):
             c += (letters[j] == 1) - (letters[j] == 2)
             if c == 0:
                 e_mem[i][j + 1] = True  # c reaches 0 only through a 2
                 break  # any extension has an interior zero prefix
-            if c < 0:
-                break
     # can_d[i][j]: letters[i:j] in ({0} union E)*
     # chain[j]: letters[:j] is a nonempty product of (c 1) groups
     can_d = [[False] * (n + 1) for _ in range(n + 1)]

@@ -1,14 +1,16 @@
 """Second-route evaluators for cross-checking the primary deciders.
 
 Each function re-answers a question some primary decider answers, with as
-little shared machinery as possible: factor-cut searches instead of
-classification maps and product automata, a definitional listing of pairs
-instead of index arithmetic.  The primary deciders never import this module.
+little shared machinery as possible: a factor-cut graph, searched by
+lasso.accepting_lasso, instead of classification maps, and a definitional
+listing of pairs instead of index arithmetic.  The primary deciders never
+import this module.
 """
 
 import itertools
 
 from . import pairs
+from .lasso import accepting_lasso
 from .verdicts import Member
 from .words import FiniteWord, LassoWord
 
@@ -28,9 +30,10 @@ def omega_factor_evidence(w: LassoWord, member, max_factor: int) -> Member:
     """Cut-graph search for an infinite factorization of a lasso into
     member-words of length <= max_factor.
 
-    YES is a certificate (a reachable factor cycle replays forever).  NO
-    refutes factorizations whose factor lengths stay within the cap, which
-    is evidence, not proof, against longer-factor decompositions.
+    Every factor is a hit edge between cut positions.  YES is a certificate
+    (a reachable factor cycle replays forever).  NO refutes factorizations
+    whose factor lengths stay within the cap, which is evidence, not proof,
+    against longer-factor decompositions.
     """
     u, v = w.spoke.letters, w.cycle.letters
     ulen, vlen = len(u), len(v)
@@ -40,30 +43,12 @@ def omega_factor_evidence(w: LassoWord, member, max_factor: int) -> Member:
 
     # every segment starts before ulen + vlen and is at most max_factor long
     letters = w.prefix(ulen + vlen + max_factor).letters
-    edges = {}
-    stack = [0]
-    seen = {0}
-    while stack:
-        pos = stack.pop()
-        outs = []
-        for f in range(1, max_factor + 1):
-            segment = FiniteWord._trusted(letters[pos : pos + f], w.size)
-            if member(segment):
-                node = norm(pos + f)
-                outs.append(node)
-                if node not in seen:
-                    seen.add(node)
-                    stack.append(node)
-        edges[pos] = outs
-    for node in edges:
-        frontier = list(edges[node])
-        visited = set(frontier)
-        while frontier:
-            cur = frontier.pop()
-            if cur == node:
-                return Member.YES
-            for t in edges[cur]:
-                if t not in visited:
-                    visited.add(t)
-                    frontier.append(t)
-    return Member.NO
+
+    def step(pos):
+        return [
+            (norm(pos + f), f, True)
+            for f in range(1, max_factor + 1)
+            if member(FiniteWord._trusted(letters[pos : pos + f], w.size))
+        ]
+
+    return Member.of(accepting_lasso(0, step) is not None)

@@ -20,7 +20,8 @@ the tree only through these two.
 ts_lasso_accepts(r, start, alpha) decides whether, starting from pair index
 `start`, the input lasso alpha can be read with guessed bits so that
 accepted pairs (nonempty guessed part ending in 1, pair inside the tree)
-occur infinitely often.  Accepted lassos come with a replayable witness of
+occur infinitely often.  ts_lasso_witness hands that product to
+lasso.accepting_lasso, so accepted lassos come with a replayable witness of
 guessed bits.
 """
 
@@ -31,6 +32,7 @@ from typing import NamedTuple
 
 from . import pairs
 from .errors import WorkbenchError
+from .lasso import accepting_lasso
 from .words import LassoWord, lasso_positions
 
 _KEYS = ("00", "01", "10", "11")
@@ -148,82 +150,32 @@ def r_contains(r: RTreePresentation, pair: pairs.QPair) -> bool:
     return r.run_pair(pair) in r.live
 
 
-def _product(r: RTreePresentation, start: int, alpha: LassoWord):
-    """Reachable product graph of (tree state, lasso position) under free
-    guessed bits, on integer nodes state * len(uv) + pos over the state ids
-    of r.codes.  Edge payload: (target node, guessed bit, accepting hit)."""
-    letters = alpha.spoke.letters + alpha.cycle.letters
-    if not _BITS.issuperset(letters):
-        raise WorkbenchError("input lasso must be binary")
-    total = len(letters)
-    succ, live, _ = r.codes
-    # moves[2 * state + a]: the targets' state * total under guessed bits 0
-    # and 1, and whether bit 1 hits an accepted pair
-    moves = []
-    for row in succ:
-        for a in (0, 1):
-            t1 = row[2 + a]
-            moves.append((row[a] * total, t1 * total, live >> t1 & 1 == 1))
-    after = list(range(1, total)) + [len(alpha.spoke.letters)]
-    root = r.state_of_index(start) * total
-    edges = {}
-    stack = [root]
-    seen = {root}
-    while stack:
-        node = stack.pop()
-        st, pos = divmod(node, total)
-        nxt = after[pos]
-        base0, base1, hit = moves[2 * st + letters[pos]]
-        edges[node] = out = ((base0 + nxt, 0, False), (base1 + nxt, 1, hit))
-        for target, _, _ in out:
-            if target not in seen:
-                seen.add(target)
-                stack.append(target)
-    return root, edges
-
-
 def ts_lasso_witness(r: RTreePresentation, start: int, alpha: LassoWord):
     """A replayable run witness: guessed bits for a path to a loop that
     contains an accepting hit, or None if no accepting run exists.
 
-    Tries the hit edges in discovery order; an edge src -> node closes a
-    loop iff src lies in node's BFS tree.  BFS parent links are computed
-    at most once per source, and the lead path once, from the root, so the
-    bits along each path are those of a shortest path.  The product reads
-    the tree only through r.codes and r.state_of_index."""
-    root, edges = _product(r, start, alpha)
-    trees = {}
+    The product of (tree state, lasso position) under free guessed bits runs
+    on integer nodes state * len(uv) + pos over the state ids of r.codes;
+    guessed bit 1 into a live state is a hit, and lasso.accepting_lasso
+    searches it for a cycle through one.  The product reads the tree only
+    through r.codes and r.state_of_index."""
+    letters, after = lasso_positions(alpha)
+    if not _BITS.issuperset(letters):
+        raise WorkbenchError("input lasso must be binary")
+    total = len(letters)
+    succ, live, _ = r.codes
 
-    def tree(src):
-        back = trees.get(src)
-        if back is None:
-            back = trees[src] = {src: None}
-            queue = [src]
-            for cur in queue:
-                for node, b, _ in edges[cur]:
-                    if node not in back:
-                        back[node] = (cur, b)
-                        queue.append(node)
-        return back
+    def step(node):
+        st, pos = divmod(node, total)
+        nxt, a = after[pos], letters[pos]
+        t0, t1 = succ[st][a], succ[st][2 + a]
+        return (t0 * total + nxt, 0, False), (t1 * total + nxt, 1, live >> t1 & 1)
 
-    def path(back, dst):
-        bits = []
-        while back[dst] is not None:
-            dst, b = back[dst]
-            bits.append(b)
-        return bits[::-1]
-
-    for src, out in edges.items():
-        for node, b, hit in out:
-            if hit:
-                back = tree(node)
-                if src in back:
-                    return {
-                        "start_index": start,
-                        "prefix": path(tree(root), src),
-                        "loop": [b] + path(back, src),
-                    }
-    return None
+    found = accepting_lasso(r.state_of_index(start) * total, step)
+    if found is None:
+        return None
+    prefix, loop = found
+    return {"start_index": start, "prefix": prefix, "loop": loop}
 
 
 def ts_lasso_accepts(r: RTreePresentation, start: int, alpha: LassoWord) -> bool:
@@ -233,19 +185,17 @@ def ts_lasso_accepts(r: RTreePresentation, start: int, alpha: LassoWord) -> bool
 def ts_replay(r: RTreePresentation, start: int, alpha: LassoWord, witness) -> bool:
     """Check a witness: replay its guessed bits and confirm the loop closes
     on the same product node and contains a hit."""
-    letter, advance = lasso_positions(alpha)
+    letters, after = lasso_positions(alpha)
     state = r.run_pair(pairs.q_of_index(witness["start_index"]))
     pos = 0
     for b in witness["prefix"]:
-        state = r.step(state, b, letter(pos))
-        pos = advance(pos)
+        state = r.step(state, b, letters[pos])
+        pos = after[pos]
     anchor = (state, pos)
     hit = False
-    if not witness["loop"]:
-        return False
     for b in witness["loop"]:
-        state = r.step(state, b, letter(pos))
-        pos = advance(pos)
+        state = r.step(state, b, letters[pos])
+        pos = after[pos]
         if b == 1 and state in r.live:
             hit = True
     return hit and (state, pos) == anchor and witness["start_index"] == start

@@ -187,20 +187,11 @@ class LassoWord:
 
 
 def lasso_positions(w: LassoWord):
-    """The positions 0 .. |uv|-1 of u(v) as a product component: the letter
-    at a position, and the position after it (the last one steps back to
-    |u|, the start of the cycle)."""
-    u, v = w.spoke.letters, w.cycle.letters
-    total = len(u) + len(v)
-
-    def letter(pos):
-        return u[pos] if pos < len(u) else v[pos - len(u)]
-
-    def advance(pos):
-        nxt = pos + 1
-        return nxt if nxt < total else len(u)
-
-    return letter, advance
+    """The positions 0 .. |uv|-1 of u(v) as a product component: the letters
+    of uv, and the position after each (the last one steps back to |u|, the
+    start of the cycle)."""
+    letters = w.spoke.letters + w.cycle.letters
+    return letters, list(range(1, len(letters))) + [len(w.spoke.letters)]
 
 
 class KnjEncodedWord:

@@ -1,7 +1,8 @@
 """Boundary-closure reference for transition-system lasso acceptance.
 
-Kept with the tests: the shipped deciders are the product search of
-rtree.ts_lasso_witness and the bit-lane summaries of
+Kept with the tests: the shipped deciders are the product that
+rtree.ts_lasso_witness hands to the accepting-cycle search
+lasso.accepting_lasso, and the bit-lane summaries of
 construction.pi_omega_knj_member; this is a third, set-based way to the
 same answer that neither of them shares code with.
 """

@@ -4,10 +4,13 @@ three low-level witness languages."""
 import itertools
 import random
 
+import pytest
+
 from omegapower import (
     FiniteWord as word,
     LassoWord,
     Member,
+    WorkbenchError,
     accepts_finite,
     lasso_accepts,
     omega_power_automaton,
@@ -70,6 +73,46 @@ def test_pinf_frozen():
     assert pinf_member(lasso("(01)"))
     assert not pinf_member(lasso("111(0)"))
     assert pinf_member(lasso("(1)"))
+
+
+@pytest.mark.parametrize("w", [LassoWord("2", "1", size=3), LassoWord("", "12", size=3)])
+def test_pinf_rejects_a_non_binary_lasso(w):
+    with pytest.raises(WorkbenchError, match="binary"):
+        pinf_member(w)
+
+
+@pytest.mark.parametrize(
+    "initial, accepting, edges, message",
+    [
+        ("x", [], [], "initial state unknown"),
+        ("s", ["x"], [], "accepting state 'x' unknown"),
+        ("s", [], [("x", 0, "s")], "transition from unknown state 'x'"),
+        ("s", [], [("s", 2, "s")], "letter 2 outside alphabet"),
+        ("s", [], [("s", 0, "x")], "transition into unknown state 'x'"),
+    ],
+)
+def test_make_automaton_validates(initial, accepting, edges, message):
+    with pytest.raises(WorkbenchError, match=message):
+        make_automaton(["s"], initial, accepting, 2, edges)
+
+
+def test_omega_power_renames_a_clashing_restart_state():
+    # the factor language {0} with its states named restart and f: the fresh
+    # restart state becomes _restart and the omega-power is still {0^omega}
+    v = make_automaton(["restart", "f"], "restart", ["f"], 2, [("restart", 0, "f")])
+    aut = omega_power_automaton(v)
+    assert aut.initial == "_restart"
+    assert aut.accepting == {"_restart"}
+    for w in corpus_lassos(2, 3, 3):
+        assert lasso_accepts(aut, w) is (w == lasso("(0)"))
+
+
+def test_lasso_with_a_letter_outside_the_alphabet_is_rejected():
+    # every infinite run reads each letter of u and v, so none reads a 2
+    aut = omega_power_automaton(zero_star_one_automaton())
+    assert lasso_accepts(aut, LassoWord("", "1", size=3))
+    assert not lasso_accepts(aut, LassoWord("2", "1", size=3))
+    assert not lasso_accepts(aut, LassoWord("", "12", size=3))
 
 
 def test_empty_language_omega_power_is_empty():

@@ -89,6 +89,19 @@ def test_witness_replays():
     assert ts_lasso_witness(r, 0, lasso("1(0)")) is None
 
 
+def test_lasso_acceptance_needs_a_binary_input():
+    with pytest.raises(WorkbenchError, match="binary"):
+        ts_lasso_accepts(full_tree(), 0, LassoWord("2", "1", size=3))
+
+
+def test_witness_with_an_empty_loop_does_not_replay():
+    r = full_tree()
+    w = lasso("1(0)")
+    witness = ts_lasso_witness(r, 0, w)
+    assert ts_replay(r, 0, w, witness)
+    assert not ts_replay(r, 0, w, dict(witness, loop=[]))
+
+
 def test_acceptance_agrees_with_matrix_oracle():
     # dual route: product-graph search vs relational one-cycle closure
     for r in (full_tree(), diag_tree()):
