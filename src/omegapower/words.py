@@ -49,6 +49,7 @@ class FiniteWord:
         return w
 
     def __setattr__(self, *_):
+        # words are hashed and shared as dict keys: letters never change
         raise AttributeError("FiniteWord is immutable")
 
     def __len__(self):
@@ -66,6 +67,7 @@ class FiniteWord:
         # alphabet size is presentation only; words compare by letters
         if isinstance(other, FiniteWord):
             return self.letters == other.letters
+        # a finite word equals no lasso, carrier or letter tuple
         return NotImplemented
 
     def __hash__(self):
@@ -146,6 +148,8 @@ class LassoWord:
         return w
 
     def __setattr__(self, *_):
+        # structural equality means the denoted omega-word only while the
+        # stored parts stay canonical, so they never change
         raise AttributeError("LassoWord is immutable")
 
     @property
@@ -172,6 +176,8 @@ class LassoWord:
                 self.spoke.letters == other.spoke.letters
                 and self.cycle.letters == other.cycle.letters
             )
+        # a lasso never equals a finite word, and never a carrier, whose runs
+        # grow
         return NotImplemented
 
     def __hash__(self):
@@ -214,6 +220,8 @@ class KnjEncodedWord:
         object.__setattr__(self, "m", m)
 
     def __setattr__(self, *_):
+        # __init__ checked the address and the block letters once; they hold
+        # only while the fields never change
         raise AttributeError("KnjEncodedWord is immutable")
 
     size = 4
@@ -221,24 +229,6 @@ class KnjEncodedWord:
     def block_run(self, i: int) -> int:
         """Length of each 2-run in block i."""
         return pairs.m_offset(self.j + i + 1)
-
-    def letter_at(self, i: int) -> int:
-        if i < self.n:
-            return 2
-        pos = self.n
-        b = 0
-        while True:
-            run = self.block_run(b)
-            if i == pos:
-                return self.m.letter_at(b)
-            if i <= pos + run:
-                return 2
-            if i == pos + run + 1:
-                return 3
-            if i <= pos + 2 * run + 1:
-                return 2
-            pos += 2 * run + 2
-            b += 1
 
     def prefix(self, n: int) -> FiniteWord:
         out = []
@@ -263,6 +253,7 @@ class KnjEncodedWord:
     def __eq__(self, other):
         if isinstance(other, KnjEncodedWord):
             return (self.n, self.j, self.m) == (other.n, other.j, other.m)
+        # a carrier is never ultimately periodic, so it equals no lasso
         return NotImplemented
 
     def __hash__(self):
@@ -275,18 +266,9 @@ class KnjEncodedWord:
         return f"KnjEncodedWord({self.n}, {self.j}, {self.m!r})"
 
 
-# Any omega-word value handled by the deciders.
-SyntheticWord = (LassoWord, KnjEncodedWord)
-
-
 def prefix(w, n: int) -> FiniteWord:
     if n < 0:
         raise WorkbenchError("prefix length must be nonnegative")
-    if isinstance(w, FiniteWord):
-        if n > len(w):
-            raise WorkbenchError("prefix longer than the word")
-        return w[:n]
-    if isinstance(w, SyntheticWord):
+    if isinstance(w, (LassoWord, KnjEncodedWord)):
         return w.prefix(n)
-    raise TypeError(f"not a word: {w!r}")
-
+    raise TypeError(f"not an infinite word: {w!r}")

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from omegapower.cli import main
+from omegapower import pairs
+from omegapower.cli import console, main
 from omegapower.pairs import m_offset
 
 
@@ -279,6 +280,46 @@ def test_sigma2_budget_below_the_depth_cap_is_inconclusive(capsys):
     assert run(capsys, *argv, "--budget", "1") == (1, "no", "")
     assert run(capsys, *argv, "--budget", "0") == (3, "inconclusive", "")
     assert run(capsys, *argv[:-1], "(12)", "--budget", "0") == (0, "yes", "")
+
+
+def test_non_numeric_bound_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "knj-roundtrip", "--bound", "abc")
+    assert code == 2 and out == ""
+    assert "--bound" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["erase", "--lasso", "12"],
+        ["omega-member", "--construction", "sigma2", "--input", "12"],
+        ["omega-member", "--construction", "xi1-pi", "--input", "K[0,0](1)"],
+    ],
+)
+def test_literal_of_the_wrong_kind_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "\n" not in err
+    assert "lasso" in err
+
+
+def test_verify_prints_the_counterexamples_of_a_failing_suite(capsys, monkeypatch):
+    # a faulty pair index: q_3 maps back to 4
+    index_of_q = pairs.index_of_q
+    monkeypatch.setattr(pairs, "index_of_q", lambda q: index_of_q(q) + (index_of_q(q) == 3))
+    code, out, _ = run(capsys, "verify", "--suite", "pair-enum-roundtrip", "--bound", "10")
+    assert code == 1
+    lines = out.splitlines()
+    assert "pair-enum-roundtrip: fail" in lines[0]
+    assert "  counterexample q_3: expected 3, got 4" in lines
+
+
+def test_console_exits_with_the_status_of_main(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["omegapower", "enum", "m", "--j", "2"])
+    with pytest.raises(SystemExit) as info:
+        console()
+    assert info.value.code == 0
+    assert capsys.readouterr().out.strip() == "20"
 
 
 def test_python_dash_m_runs_the_cli():

@@ -29,12 +29,8 @@ from omegapower import (
     pi_member,
     pi_omega_knj_member,
 )
-from omegapower.construction import (
-    BlockProfile,
-    PiDecomposition,
-    _delimited_blocks,
-    _f_from_profile,
-)
+from omegapower.construction import PiDecomposition, _delimited_blocks
+from omegapower.oracles import omega_factor_evidence
 from omegapower.pairs import m_index, q_of_index, successors
 from omegapower.rtree import diag_tree, full_tree, r_contains, ts_lasso_accepts
 from omegapower.words import FiniteWord
@@ -93,6 +89,15 @@ def test_pi_two_blocks_short_final_run():
 def test_pi_needs_full_intermediate_runs():
     w = FiniteWord(blk(1, M1, 0) + blk(1, M2, 0), 4)
     assert pi_member(w, FULL) is None
+
+
+def test_pi_final_run_within_its_offset():
+    # the final trailing run splits M_{j+l+1}; one letter longer leaves no
+    # pair index for the guessed part
+    assert pi_member(FiniteWord(blk(1, M1, 0), 4), FULL) is not None
+    assert pi_member(FiniteWord(blk(1, M1, M1 + 1), 4), FULL) is None
+    assert pi_member(FiniteWord(blk(1, M1, M1) + blk(1, M2, 0), 4), FULL) is not None
+    assert pi_member(FiniteWord(blk(1, M1, M1) + blk(1, M2, M2 + 1), 4), FULL) is None
 
 
 def test_pi_decomposition_chain_is_valid():
@@ -298,6 +303,33 @@ def test_mu_omega_frozen():
     assert mu_omega_member(LassoWord("", W_MU0.letters, size=4)) is Member.YES
 
 
+def _block_word(lead, blocks):
+    return FiniteWord((2,) * lead + sum((blk(*b) for b in blocks), ()), 4)
+
+
+def _block_lasso(lead, head, cycle):
+    return LassoWord(_block_word(lead, head), _block_word(0, cycle), size=4)
+
+
+_M_OR_NEAR = st.sampled_from((0, 1, M1, M1 + 1, M2))
+_BLOCK = st.tuples(st.integers(0, 1), _M_OR_NEAR, _M_OR_NEAR)
+_BLOCK_LASSOS = st.builds(
+    _block_lasso,
+    st.integers(0, 2),
+    st.lists(_BLOCK, max_size=2),
+    st.lists(_BLOCK, min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(_BLOCK_LASSOS)
+def test_mu_omega_matches_factor_search_on_block_lassos(w):
+    # lead 2-run, up to two head blocks and one to three cycle blocks, with
+    # runs at and next to the offsets M_0, M_1, M_2
+    cap = 4 * (len(w.spoke) + len(w.cycle)) + 8
+    assert mu_omega_member(w) is omega_factor_evidence(w, mu_member, cap), str(w)
+
+
 def test_mu_omega_rejects_carrier_words():
     for j in range(2):
         for n in range(m_offset(j) + 1):
@@ -334,19 +366,14 @@ def test_classification_triples_distinct_on_grid():
             seen.add((s_len, j1))
 
 
-def test_classification_formula_on_defective_head():
-    # a profile with one early defect and a carrier tail: the triple keeps
-    # everything through the defect block plus the next m 2^P 3
-    profile = BlockProfile(0, ((1, M1, 2), (0, M2, M2)), (), 2, LassoWord("", "1"))
-    t, s_len, j1 = _f_from_profile(profile)
-    assert t.letters == blk(1, M1, 2) + (0,) + (2,) * M2 + (3,)
-    assert s_len == M2
-    assert j1 == 3
+def test_suitability_of_a_mu_prefixed_class():
+    # t keeps a defect block plus the next m 2^P 3; the address convention
+    # hands is_suitable the index of that P-run
+    t = FiniteWord(blk(1, M1, 2) + (0,) + (2,) * M2 + (3,), 4)
     assert mu_member(t)
     assert t.letters[-1] == 3
-    # the address convention hands is_suitable j1 - 1
-    assert is_suitable(t, s_len, j1 - 1)
-    assert not is_suitable(t, s_len, j1)
+    assert is_suitable(t, M2, 2)
+    assert not is_suitable(t, M2, 3)
 
 
 def test_suitability_frozen():
@@ -380,15 +407,10 @@ def test_one_probe_suitability_matches_two_probe_reference():
     assert (len(ts), cases, suitable) == (87, 10_440, [77, 9, 23, 89])
 
 
-def _block_word(lead, blocks):
-    return FiniteWord((2,) * lead + sum((blk(*b) for b in blocks), ()), 4)
-
-
-_M_OR_NEAR = st.sampled_from((0, 1, M1, M1 + 1, M2))
 _BLOCK_WORDS = st.builds(
     _block_word,
     st.integers(0, 2),
-    st.lists(st.tuples(st.integers(0, 1), _M_OR_NEAR, _M_OR_NEAR), min_size=1, max_size=4),
+    st.lists(_BLOCK, min_size=1, max_size=4),
 )
 _RAW_WORDS = st.lists(st.integers(0, 3), max_size=12).map(lambda xs: FiniteWord(xs, 4))
 

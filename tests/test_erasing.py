@@ -274,6 +274,8 @@ def test_b2_frozen():
     assert b2_omega_member(LassoWord("", "0", size=2))
     assert b2_omega_member(LassoWord("", "10", size=2))
     assert b2_omega_member(LassoWord("11", "0", size=2))
+    with pytest.raises(WorkbenchError):
+        b2_omega_member(LassoWord("", "2", size=3))
 
 
 def test_a3_omega_frozen():

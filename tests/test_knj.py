@@ -107,4 +107,5 @@ def test_injectivity_at_first_differing_block():
         k = next(i for i in range(16) if a.letter_at(i) != b.letter_at(i))
         pos = block_start(wa, k)
         assert block_start(wb, k) == pos
-        assert wa.letter_at(pos) != wb.letter_at(pos)
+        la, lb = prefix(wa, pos + 1).letters, prefix(wb, pos + 1).letters
+        assert la[:pos] == lb[:pos] and la[pos] != lb[pos]

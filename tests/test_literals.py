@@ -56,6 +56,8 @@ def test_syntax_errors_carry_positions():
         parse_word_literal("K[1,0](1)")  # address outside the bound
     with pytest.raises(LiteralSyntaxError):
         parse_word_literal("abc")
+    with pytest.raises(LiteralSyntaxError):
+        parse_word_literal(5)
 
 
 def test_alphabet_bounds():

@@ -19,7 +19,7 @@ from omegapower import (
     run_suite,
     ts_lasso_accepts,
 )
-from omegapower import suites
+from omegapower import pairs, suites
 from omegapower.erasing import a3_omega_member, e_counter_member, e_preimage_check, erase_fin
 from omegapower.suites import SuiteReport, _Collector, _sigma2_cases
 from omegapower.verdicts import Member
@@ -247,6 +247,17 @@ def test_finite_suites_leave_no_reference_cycles(name, bound):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_pair_enum_roundtrip_reports_a_faulty_index(monkeypatch):
+    # a faulty pair index: q_3 maps back to 4
+    index_of_q = pairs.index_of_q
+    monkeypatch.setattr(pairs, "index_of_q", lambda q: index_of_q(q) + (index_of_q(q) == 3))
+    report = run_suite("pair-enum-roundtrip", bound=10)
+    assert report.verdict == "fail"
+    # successors reads the same index, so one step case fails with it
+    assert report.counterexamples == [["q_3", "3", "4"], ["step_0_0_4", "True", "False"]]
+    assert report.cases_failed == 2
 
 
 def test_failed_cases_count_in_the_total(monkeypatch):

@@ -124,11 +124,42 @@ def test_trusted_construction_matches_the_checked_constructors():
             continue
         spoke, _, cyc = m.partition("(")
         w = KnjEncodedWord(n, j, LassoWord(spoke, cyc.rstrip(")"), size=2))
+        # by definition: 2^N, then m_i 2^{M_{j+i+1}} 3 2^{M_{j+i+1}} per block
+        spelled = (2,) * n
+        for i in range(3):
+            run = m_offset(j + i + 1)
+            spelled += (w.m.letter_at(i),) + (2,) * run + (3,) + (2,) * run
         for k in (0, 1, 7, 30):
             got = w.prefix(k)
             checked = FiniteWord(got.letters, 4)
             assert (got, got.size, hash(got)) == (checked, checked.size, hash(checked))
-            assert got.letters == tuple(w.letter_at(i) for i in range(k))
+            assert got.letters == spelled[:k]
+
+
+def test_lasso_from_finite_words_keeps_their_alphabet():
+    assert LassoWord(word("1", 3), word("10", 2)).size == 3
+    assert LassoWord(word("1", 2), word("12", 3)).size == 3
+    assert LassoWord(word("1", 2), "1").size == 2
+
+
+def test_prefix_needs_an_infinite_word_and_a_length():
+    w = LassoWord("1", "0")
+    with pytest.raises(WorkbenchError):
+        prefix(w, -1)
+    with pytest.raises(TypeError):
+        prefix(word("01"), 1)
+
+
+def test_words_are_immutable_and_unequal_across_kinds():
+    lasso = LassoWord("", "01")
+    carrier = KnjEncodedWord(0, 0, LassoWord("", "1"))
+    with pytest.raises(AttributeError):
+        lasso.spoke = word("1")
+    with pytest.raises(AttributeError):
+        carrier.n = 1
+    assert word("01") != (0, 1)
+    assert lasso != word("01")
+    assert carrier != LassoWord("", "1")
 
 
 def test_lasso_hash_and_repr():
@@ -160,9 +191,10 @@ def test_carrier_word_block_structure():
     # lead is empty, then blocks m_i 2^{M_{i+1}} 3 2^{M_{i+1}}
     assert block_start(w, 0) == 0
     assert block_start(w, 1) == 1 + 2 * M1 + 1
-    assert w.letter_at(block_start(w, 0)) == 1
-    assert w.letter_at(block_start(w, 1)) == 0
-    assert w.letter_at(block_start(w, 1) + 1) == 2
+    letters = prefix(w, block_start(w, 1) + 2).letters
+    assert letters[block_start(w, 0)] == 1
+    assert letters[block_start(w, 1)] == 0
+    assert letters[block_start(w, 1) + 1] == 2
 
 
 def test_carrier_word_rejects_deep_lead():
@@ -170,6 +202,25 @@ def test_carrier_word_rejects_deep_lead():
         KnjEncodedWord(1, 0, LassoWord("", "1"))
     with pytest.raises(InvalidAddress):
         KnjEncodedWord(m_offset(1) + 1, 1, LassoWord("", "1"))
+
+
+def test_carrier_word_rejects_bad_fields():
+    one = LassoWord("", "1")
+    with pytest.raises(InvalidAddress):
+        KnjEncodedWord(-1, 0, one)
+    with pytest.raises(InvalidAddress):
+        KnjEncodedWord(0, -1, one)
+    with pytest.raises(WorkbenchError, match="lasso"):
+        KnjEncodedWord(0, 0, word("1"))
+    with pytest.raises(WorkbenchError, match="binary"):
+        KnjEncodedWord(0, 0, LassoWord("1", "2"))
+
+
+def test_carrier_word_hash_and_repr():
+    a = KnjEncodedWord(0, 0, LassoWord("", "1"))
+    assert {a, KnjEncodedWord(0, 0, LassoWord("1", "1"))} == {a}
+    assert len({a, KnjEncodedWord(0, 0, LassoWord("", "0"))}) == 2
+    assert repr(a) == "KnjEncodedWord(0, 0, LassoWord('(1)'))"
 
 
 def test_carrier_word_equality():
