@@ -184,7 +184,9 @@ def _cmd_omega(args):
 
 
 def _cmd_verify(args):
-    tree = load_tree(args.rtree)
+    # only a-omega-decomposition reads --rtree; theorem2-key-equality runs
+    # both built-in trees
+    tree = load_tree(args.rtree) if args.suite == "a-omega-decomposition" else None
     check_bound(args.suite, args.bound)
     out = None
     if args.out:

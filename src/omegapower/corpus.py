@@ -8,23 +8,15 @@ seeded and deduplicates on the canonical form.
 A filter keep(spoke, cycle) receives the raw letter tuples or lists of a
 candidate, before any LassoWord is built, and must answer a property of
 the omega-word spoke cycle^omega, the same for every representation of it
-(erasing.t_lasso and t_keep are such filters).  Only kept candidates are
-canonicalized, so a rejected random draw costs no LassoWord and takes no
-place in the deduplication set.
+(erasing.t_lasso and erasing.t_keep are such filters).  Only kept
+candidates are canonicalized, so a rejected random draw costs no LassoWord
+and takes no place in the deduplication set.
 """
 
 import itertools
 import random
 
-from .erasing import _never_below
 from .words import LassoWord, canonical_parts
-
-
-def t_keep(spoke, cycle):
-    """erasing.t_lasso for candidates over 0..size-1 with size <= 3, whose
-    letters need no alphabet check: no prefix of spoke cycle has more 2s
-    than 1s, and the cycle does not lose ground."""
-    return _never_below(spoke + cycle) and cycle.count(1) >= cycle.count(2)
 
 
 def corpus_lassos(size: int, max_spoke: int, max_cycle: int, keep=None):

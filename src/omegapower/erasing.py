@@ -10,8 +10,9 @@ boundary.
 E is the language of nonempty balanced words whose erasure-but-last starts
 with a 1; equivalently (the dual characterization) the words that start
 with 1, end with 2, are balanced, and keep every interior prefix strictly
-positive.  A is {0}, E, and the chains (c_0 1)(c_1 1)...(c_k 1) with each
-c_i a product of {0}-letters and E-words, the single word "1" excluded.
+positive.  A is {0}, E, and the T-words of length >= 2 that end in 1: these
+are the chains (c_0 1)(c_1 1)...(c_k 1) with each c_i a product of
+{0}-letters and E-words, the single word "1" excluded (see a3_member).
 
 a3_omega_member decides membership of a lasso in the omega-power of A with
 a factor machine whose only unbounded part is the E-depth counter; a
@@ -68,6 +69,12 @@ def _erase(letters) -> list:
     return emitted
 
 
+def t_keep(u, v) -> bool:
+    """t_lasso on tuples or lists of checked letters; the corpus filter of
+    sigma2-main, which draws its letters from {0,1,2}."""
+    return _never_below(u + v) and v.count(1) >= v.count(2)
+
+
 def t_lasso(u, v) -> bool:
     """Whether the lasso u(v), given as letter sequences, lies in T: no
     prefix of u v has more 2s than 1s, and the cycle does not lose ground.
@@ -76,9 +83,7 @@ def t_lasso(u, v) -> bool:
     the same omega-word: with cycle balance b >= 0, a prefix ending in the
     k-th copy of v counts (k-1) b more than the same place in the first
     copy, and with b < 0 the count eventually goes below 0."""
-    u = _letters3(u)
-    v = _letters3(v)
-    return _never_below(u + v) and v.count(1) >= v.count(2)
+    return t_keep(_letters3(u), _letters3(v))
 
 
 def t_member(w) -> bool:
@@ -158,49 +163,22 @@ def e_counter_member(s: FiniteWord) -> bool:
 
 def a3_member(s: FiniteWord) -> bool:
     """A = {0} union E union the chains (c_0 1)...(c_k 1), c_i in ({0}+E)*,
-    excluding the bare word 1."""
+    excluding the bare word 1; the chains are the T-words of length >= 2
+    that end in 1.
+
+    Lemma.  In a word of T, pair each 2 with the latest unmatched 1 before
+    it.  A 1 together with everything up to its matching 2 is an E-word,
+    because the counter (1s minus 2s) first returns to its level there.  So
+    a T-word splits, in exactly one way, into 0s, unmatched 1s and E-words.
+    A word is a chain iff it is such a split whose last piece is an
+    unmatched 1, i.e. a T-word that ends in 1 (a last letter 1 is always
+    unmatched).  A word outside T has a 2 that no piece can hold."""
     letters = _letters3(s)
-    n = len(letters)
-    if letters == (0,):
-        return True
-    if e_counter_member(letters):
-        return True
-    if letters == (1,):
-        return False
-    # e_mem[i][j]: letters[i:j] in E
-    e_mem = [[False] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        if letters[i] != 1:
-            continue
-        # c starts at 1 and moves by at most one a letter, so it meets 0
-        # before it could go negative
-        c = 0
-        for j in range(i, n):
-            c += (letters[j] == 1) - (letters[j] == 2)
-            if c == 0:
-                e_mem[i][j + 1] = True  # c reaches 0 only through a 2
-                break  # any extension has an interior zero prefix
-    # can_d[i][j]: letters[i:j] in ({0} union E)*
-    # chain[j]: letters[:j] is a nonempty product of (c 1) groups
-    can_d = [[False] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        can_d[i][i] = True
-        for j in range(i + 1, n + 1):
-            for k in range(i, j):
-                if can_d[i][k] and (
-                    (j == k + 1 and letters[k] == 0) or e_mem[k][j]
-                ):
-                    can_d[i][j] = True
-                    break
-    chain = [False] * (n + 1)
-    for j in range(1, n + 1):
-        if letters[j - 1] != 1:
-            continue
-        for i in range(j):
-            if (i == 0 or chain[i]) and can_d[i][j - 1]:
-                chain[j] = True
-                break
-    return chain[n]
+    return (
+        letters == (0,)
+        or e_counter_member(letters)
+        or (len(letters) > 1 and letters[-1] == 1 and _never_below(letters))
+    )
 
 
 def b2_omega_member(w: LassoWord) -> bool:

@@ -57,7 +57,7 @@ def parse_word_literal(text: str, size: int = 4):
             )
         return LassoWord(spoke, cycle, size=size)
     m = _FINITE.match(text)
-    if not m or m.end() != len(text):
+    if not m:
         bad = next(i for i, c in enumerate(text) if c not in "0123")
         raise LiteralSyntaxError(f"unexpected character {text[bad]!r}", bad)
     word = _digits(text)

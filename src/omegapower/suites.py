@@ -22,7 +22,7 @@ from .automata import (
     zero_word_automaton,
 )
 from .construction import a_member, a_omega_member, f_map, mu_omega_member, pi_omega_knj_member
-from .corpus import corpus_lassos, random_lassos, t_keep
+from .corpus import corpus_lassos, random_lassos
 from .erasing import (
     a3_omega_member,
     b2_omega_member,
@@ -30,6 +30,7 @@ from .erasing import (
     e_def_member,
     e_preimage_check,
     erase_fin,
+    t_keep,
     t_member,
 )
 from .errors import WorkbenchError
@@ -497,22 +498,33 @@ SUITES = {
 }
 
 
-# The largest bound each finite suite accepts, so that a run ends in seconds,
-# not hours: pair-enum-roundtrip checks one index per unit of bound,
-# erase-homomorphism every pair of T-words up to the bound (709,742,881 at
-# 10) and E-dual-characterization (3^(bound+1) - 1) / 2 words (7,174,453 at
-# 14).  Each lies above the suite's default and acceptance-gate bounds.
+# The largest bound each suite accepts, so that a run ends in about a minute
+# (measured on a 2-vCPU host), not hours.  pair-enum-roundtrip checks one
+# index per unit of bound, erase-homomorphism every pair of T-words up to the
+# bound (709,742,881 at 10), E-dual-characterization (3^(bound+1) - 1) / 2
+# words (7,174,453 at 14), sigma2-main every T-lasso with |u|, |v| <= bound,
+# xi-low-witnesses every binary lasso with |u|, |v| <= bound,
+# theorem2-key-equality and mu-knj-disjoint a carrier grid over those
+# lassos, a-omega-decomposition every lasso over 4 letters with |u| <= 2 and
+# |v| <= bound, and knj-roundtrip a carrier prefix of bound letters per
+# grid word.  Each lies above the suite's default and acceptance-gate bounds.
 MAX_BOUNDS = {
     "pair-enum-roundtrip": 1_000_000,
     "erase-homomorphism": 10,
     "E-dual-characterization": 14,
+    "sigma2-main": 6,
+    "xi-low-witnesses": 9,
+    "knj-roundtrip": 1_000_000,
+    "theorem2-key-equality": 6,
+    "mu-knj-disjoint": 8,
+    "a-omega-decomposition": 7,
 }
 
 
 def check_bound(name, bound):
     """Refuse a bound past the suite's maximum in MAX_BOUNDS."""
-    limit = MAX_BOUNDS.get(name)
-    if bound is not None and limit is not None and bound > limit:
+    limit = MAX_BOUNDS[name]
+    if bound is not None and bound > limit:
         raise WorkbenchError(f"{name} takes a bound of at most {limit}, got {bound}")
 
 

@@ -12,6 +12,7 @@ import pytest
 from omegapower import pairs
 from omegapower.cli import console, main
 from omegapower.pairs import m_offset
+from omegapower.suites import MAX_BOUNDS, SUITES
 
 
 def run(capsys, *argv):
@@ -183,7 +184,7 @@ def test_verify_inconclusive_exit(capsys):
     [
         ["member", "--lang", "pi", "--word", "0"],
         ["omega-member", "--construction", "theorem2", "--input", "(2)"],
-        ["verify", "--suite", "knj-roundtrip", "--bound", "5"],
+        ["verify", "--suite", "a-omega-decomposition", "--bound", "1"],
     ],
 )
 def test_unreadable_tree_file_is_a_usage_error(tmp_path, capsys, argv):
@@ -232,6 +233,18 @@ def test_member_reads_the_tree_only_where_it_is_used(tmp_path, capsys):
     assert run(capsys, "member", "--lang", "A4", "--word", "0", "--rtree", missing)[0] == 2
 
 
+def test_verify_reads_the_tree_only_where_it_is_used(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    report = tmp_path / "report.json"
+    argv = ["verify", "--bound", "1", "--rtree", missing, "--out", str(report)]
+    for suite in ("pair-enum-roundtrip", "theorem2-key-equality"):
+        assert run(capsys, *argv, "--suite", suite)[0] == 0
+    report.unlink()
+    code, out, err = run(capsys, *argv, "--suite", "a-omega-decomposition")
+    assert code == 2 and out == "" and "cannot read tree file" in err
+    assert not report.exists()  # refused before the report file is opened
+
+
 def test_unwritable_report_path_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "no-such-dir" / "x.json"
     code, out, err = run(
@@ -250,15 +263,16 @@ def test_negative_bound_is_a_usage_error(capsys):
 
 def test_bound_past_the_suite_maximum_is_a_usage_error(tmp_path, capsys):
     report = tmp_path / "report.json"
-    for suite in ("pair-enum-roundtrip", "erase-homomorphism", "E-dual-characterization"):
-        code, out, err = run(
-            capsys, "verify", "--suite", suite, "--bound", "100000000000000000000",
-            "--out", str(report),
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "\n" not in err
-        assert "at most" in err
-        assert not report.exists()  # refused before the report file is opened
+    assert set(MAX_BOUNDS) == set(SUITES)
+    for suite, limit in MAX_BOUNDS.items():
+        for bound in (limit + 1, 10**20):
+            code, out, err = run(
+                capsys, "verify", "--suite", suite, "--bound", str(bound), "--out", str(report)
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "\n" not in err
+            assert f"at most {limit}, got {bound}" in err
+            assert not report.exists()  # refused before the report file is opened
 
 
 def test_block_offset_too_long_to_print_is_a_usage_error(capsys):

@@ -234,39 +234,63 @@ def test_a3_composition():
     assert a3_member(word("011", 3))
 
 
+@lru_cache(maxsize=None)
+def _a3_segments(t):
+    # t splits into {0} and E factors
+    if not t:
+        return True
+    if t[0] == 0 and _a3_segments(t[1:]):
+        return True
+    return any(
+        e_counter_member(FiniteWord(t[:k], 3)) and _a3_segments(t[k:])
+        for k in range(2, len(t) + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _a3_groups(t):
+    # t splits into one or more factors c 1 with c in ({0} u E)*
+    if not t:
+        return False
+    return any(
+        t[k] == 1 and _a3_segments(t[:k]) and (k + 1 == len(t) or _a3_groups(t[k + 1 :]))
+        for k in range(len(t))
+    )
+
+
+def a3_reference(t):
+    """A3 read off its definition by trying every split of t."""
+    if t == (0,):
+        return True
+    if t and e_counter_member(FiniteWord(t, 3)):
+        return True
+    # a single bare 1 is excluded by the side condition
+    return bool(t) and t != (1,) and _a3_groups(t)
+
+
 def test_a3_matches_naive_reference():
-    @lru_cache(maxsize=None)
-    def seg(t):
-        # t splits into {0} and E factors
-        if not t:
-            return True
-        if t[0] == 0 and seg(t[1:]):
-            return True
-        return any(
-            e_counter_member(FiniteWord(t[:k], 3)) and seg(t[k:])
-            for k in range(2, len(t) + 1)
-        )
-
-    @lru_cache(maxsize=None)
-    def factors(t):
-        # t splits into one or more factors c 1 with c in ({0} u E)*
-        if not t:
-            return False
-        return any(
-            t[k] == 1 and seg(t[:k]) and (k + 1 == len(t) or factors(t[k + 1 :]))
-            for k in range(len(t))
-        )
-
-    def reference(t):
-        if t == (0,):
-            return True
-        if t and e_counter_member(FiniteWord(t, 3)):
-            return True
-        # a single bare 1 is excluded by the side condition
-        return bool(t) and t != (1,) and factors(t)
-
     for tup in words3(9):
-        assert a3_member(FiniteWord(tup, 3)) == reference(tup), str(tup)
+        assert a3_member(FiniteWord(tup, 3)) == a3_reference(tup), str(tup)
+
+
+@st.composite
+def words_half_in_t(draw):
+    """Words over {0,1,2} of 10 to 40 letters; half of them are repaired
+    into T: a 2 that would take the counter below 0 becomes a 1."""
+    t = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=10, max_size=40))
+    if draw(st.booleans()):
+        c = 0
+        for k, x in enumerate(t):
+            if x == 2 and c == 0:
+                t[k] = x = 1
+            c += (x == 1) - (x == 2)
+    return tuple(t)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(words_half_in_t())
+def test_a3_matches_naive_reference_past_the_exhaustive_range(t):
+    assert a3_member(FiniteWord(t, 3)) == a3_reference(t)
 
 
 def test_b2_frozen():

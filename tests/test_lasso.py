@@ -25,7 +25,7 @@ from omegapower import (
     pinf_member,
     zero_word_automaton,
 )
-from omegapower.corpus import t_keep
+from omegapower.erasing import t_keep
 from omegapower.lasso import accepting_lasso
 
 

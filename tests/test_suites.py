@@ -296,8 +296,20 @@ def test_e_dual_reports_its_first_counterexamples_in_corpus_order(monkeypatch):
 
 
 def test_finite_suites_refuse_bounds_past_their_maximum():
-    gate = {"pair-enum-roundtrip": 100_000, "erase-homomorphism": 8, "E-dual-characterization": 12}
-    assert set(suites.MAX_BOUNDS) == set(gate)
+    # the acceptance-gate bound of each suite (tests/test_acceptance.py); no
+    # other test runs a suite at a larger bound
+    gate = {
+        "pair-enum-roundtrip": 100_000,
+        "erase-homomorphism": 8,
+        "E-dual-characterization": 12,
+        "sigma2-main": 4,
+        "xi-low-witnesses": 5,
+        "knj-roundtrip": 2000,
+        "theorem2-key-equality": 4,
+        "mu-knj-disjoint": 4,
+        "a-omega-decomposition": 3,
+    }
+    assert set(suites.MAX_BOUNDS) == set(gate) == set(suites.SUITES)
     for name, limit in suites.MAX_BOUNDS.items():
         default = run_suite(name).parameters["bound"]
         assert default <= gate[name] <= limit
