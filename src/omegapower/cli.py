@@ -33,7 +33,7 @@ from .erasing import a3_member, a3_omega_member, e_def_member, erase_fin, erase_
 from .errors import WorkbenchError
 from .literals import format_word, parse_word_literal
 from .rtree import load_tree
-from .suites import SUITES, check_bound, run_suite
+from .suites import SUITES, check_run, run_suite
 from .verdicts import Member
 from .words import FiniteWord, KnjEncodedWord, LassoWord
 
@@ -184,10 +184,9 @@ def _cmd_omega(args):
 
 
 def _cmd_verify(args):
-    # only a-omega-decomposition reads --rtree; theorem2-key-equality runs
-    # both built-in trees
-    tree = load_tree(args.rtree) if args.suite == "a-omega-decomposition" else None
-    check_bound(args.suite, args.bound)
+    suite = check_run(args.suite, args.bound, seed=args.seed, budget=args.budget)
+    # --rtree has a default, so only a suite that reads a tree gets one
+    tree = load_tree(args.rtree) if "tree" in suite.reads else None
     out = None
     if args.out:
         # open before the run, so a bad path fails at once

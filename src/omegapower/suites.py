@@ -11,6 +11,7 @@ import itertools
 import json
 import operator
 import time
+from typing import Callable, NamedTuple
 
 from . import pairs
 from .automata import (
@@ -77,7 +78,7 @@ class _Collector:
         self.total += count
         self.failed += count
 
-    def undecided(self, literal):
+    def undecided(self):
         self.total += 1
         self.inconclusive += 1
 
@@ -126,10 +127,10 @@ class SuiteReport:
 
 
 def _resolve_tree(tree):
-    """A presentation as given, else the tree load_tree names ("full" by default)."""
+    """A presentation as given, else the tree load_tree names."""
     if isinstance(tree, RTreePresentation):
         return tree
-    return load_tree(tree or "full")
+    return load_tree(tree)
 
 
 # ------------------------------------------------------------- corpora
@@ -170,10 +171,15 @@ def _knj_grid(max_j, m_bound):
                 yield KnjEncodedWord(n, j, m)
 
 
+def _merged(*corpora):
+    """The words of the corpora in order, each at its first occurrence;
+    the order is part of every report digest."""
+    return list(dict.fromkeys(itertools.chain(*corpora)))
+
+
 # ------------------------------------------------------------- suites
 
-def _suite_pair_enum_roundtrip(bound, seed, tree, budget):
-    bound = 10_000 if bound is None else bound
+def _suite_pair_enum_roundtrip(bound):
     col = _Collector()
     misses = 0
     for n in range(bound):
@@ -234,7 +240,7 @@ def _lanes_set(diff, width, lows):
     return (diff & lows).bit_count()
 
 
-def _suite_erase_homomorphism(bound, seed, tree, budget):
+def _suite_erase_homomorphism(bound):
     """erase(s . t) against erase_fin(s) . erase_fin(t) for every pair of
     T-words up to the bound, with one lane of `width` bits per left factor
     s = words[k] (bit-parallel shift-and, Baeza-Yates & Gonnet 1992).
@@ -249,7 +255,6 @@ def _suite_erase_homomorphism(bound, seed, tree, budget):
     erase_fin(s) . erase_fin(t) packed into the same lanes: `es` holds every
     erase_fin(s) and `start` marks where each lane's image of t begins.  A
     node compares two ints; only a mismatch decodes its failing lanes."""
-    bound = 6 if bound is None else bound
     col = _Collector()
     words = [w for w in _words3_up_to(bound) if t_member(w)]
     images = [erase_fin(w).letters for w in words]
@@ -325,11 +330,10 @@ def _suite_erase_homomorphism(bound, seed, tree, budget):
     return {"bound": bound, "words": len(words)}, col
 
 
-def _suite_e_dual(bound, seed, tree, budget):
+def _suite_e_dual(bound):
     """Both characterizations of E on every word over {0,1,2} up to the
     bound, one call to each per word; only a failing run walks the words
     again, to report its first counterexamples."""
-    bound = 10 if bound is None else bound
     col = _Collector()
     misses = sum(
         map(
@@ -355,34 +359,27 @@ SIGMA2_SAMPLES = 10_000
 def _sigma2_cases(bound, seed) -> list:
     """The sigma2-main corpus: every T-lasso with |u|, |v| <= bound, then
     the new ones among SIGMA2_SAMPLES seeded draws with |u|, |v| <= 8."""
-    cases = list(corpus_lassos(3, bound, bound, keep=t_keep))
-    pool = set(cases)
-    for w in random_lassos(3, SIGMA2_SAMPLES, 8, 8, seed, keep=t_keep):
-        if w not in pool:
-            pool.add(w)
-            cases.append(w)
-    return cases
+    return _merged(
+        corpus_lassos(3, bound, bound, keep=t_keep),
+        random_lassos(3, SIGMA2_SAMPLES, 8, 8, seed, keep=t_keep),
+    )
 
 
-def _suite_sigma2_main(bound, seed, tree, budget):
+def _suite_sigma2_main(bound, seed, budget):
     """Route A is a3_omega_member, whose E-depth budget may leave a case
     INCONCLUSIVE; route B, e_preimage_check, decides every case."""
-    bound = 4 if bound is None else bound
-    seed = 20260814 if seed is None else seed
-    budget = 10_000 if budget is None else budget
     col = _Collector()
     for w in _sigma2_cases(bound, seed):
         got = a3_omega_member(w, budget)
         want = e_preimage_check(w)
         if got is Member.INCONCLUSIVE:
-            col.undecided(w)
+            col.undecided()
         else:
             col.case(w, want.value, got.value)
     return {"bound": bound, "seed": seed, "budget": budget, "samples": SIGMA2_SAMPLES}, col
 
 
-def _suite_xi_low(bound, seed, tree, budget):
-    bound = 5 if bound is None else bound
+def _suite_xi_low(bound):
     col = _Collector()
     zero_power = omega_power_automaton(zero_word_automaton())
     ones_power = omega_power_automaton(zero_star_one_automaton())
@@ -395,8 +392,7 @@ def _suite_xi_low(bound, seed, tree, budget):
     return {"bound": bound}, col
 
 
-def _suite_knj_roundtrip(bound, seed, tree, budget):
-    bound = 2000 if bound is None else bound
+def _suite_knj_roundtrip(bound):
     col = _Collector()
     for w in _knj_grid(2, 2):
         addr = KnjAddress(w.n, w.j)
@@ -414,8 +410,7 @@ def _suite_knj_roundtrip(bound, seed, tree, budget):
     return {"bound": bound}, col
 
 
-def _suite_theorem2_key_equality(bound, seed, tree, budget):
-    bound = 4 if bound is None else bound
+def _suite_theorem2_key_equality(bound):
     col = _Collector()
     ms = list(corpus_lassos(2, bound, bound))
     for r in (full_tree(), diag_tree()):
@@ -427,8 +422,7 @@ def _suite_theorem2_key_equality(bound, seed, tree, budget):
     return {"bound": bound}, col
 
 
-def _suite_mu_knj_disjoint(bound, seed, tree, budget):
-    bound = 2 if bound is None else bound
+def _suite_mu_knj_disjoint(bound):
     col = _Collector()
     for w in _knj_grid(2, bound):
         col.case(w, Member.NO.value, mu_omega_member(w).value, "mu")
@@ -436,13 +430,6 @@ def _suite_mu_knj_disjoint(bound, seed, tree, budget):
         ok = len(t) == 0 and s_len == w.n and j1 == w.j + 1
         col.case(w, True, ok, "triple")
     return {"bound": bound}, col
-
-
-def _mu_like(tree):
-    def member(s):
-        return a_member(s, tree)
-
-    return member
 
 
 def _curated_a_omega():
@@ -461,19 +448,13 @@ def _curated_a_omega():
     ]
 
 
-def _suite_a_omega_decomposition(bound, seed, tree, budget):
-    bound = 3 if bound is None else bound
-    seed = 20260814 if seed is None else seed
+def _suite_a_omega_decomposition(bound, seed, tree):
     r = _resolve_tree(tree)
     col = _Collector()
-    member = _mu_like(r)
-    cases = list(corpus_lassos(4, 2, bound))
-    pool = set(cases)
-    for w in itertools.chain(_curated_a_omega(), random_lassos(4, 200, 6, 6, seed)):
-        if w not in pool:
-            pool.add(w)
-            cases.append(w)
-    for w in cases:
+    member = lambda s: a_member(s, r)
+    for w in _merged(
+        corpus_lassos(4, 2, bound), _curated_a_omega(), random_lassos(4, 200, 6, 6, seed)
+    ):
         got = a_omega_member(w, r)
         cap = 4 * (len(w.spoke) + len(w.cycle)) + 8
         want = omega_factor_evidence(w, member, cap)
@@ -485,58 +466,64 @@ def _suite_a_omega_decomposition(bound, seed, tree, budget):
     return {"bound": bound, "seed": seed, "tree": r.name}, col
 
 
+class Suite(NamedTuple):
+    """A suite: its runner, its default and maximum bound, and the default
+    of each other parameter the runner reads (its keyword arguments)."""
+
+    run: Callable
+    bound: int
+    max_bound: int
+    reads: dict = {}
+
+
+DEFAULT_SEED = 20260814
+
+# Each maximum bound lets a run end in about a minute (measured on a 2-vCPU
+# host), not hours, and lies above the suite's default and acceptance-gate
+# bounds.  pair-enum-roundtrip checks one index per unit of bound,
+# erase-homomorphism every pair of T-words up to the bound (709,742,881 at
+# 10), E-dual-characterization (3^(bound+1) - 1) / 2 words (7,174,453 at 14),
+# sigma2-main every T-lasso with |u|, |v| <= bound, xi-low-witnesses every
+# binary lasso with |u|, |v| <= bound, theorem2-key-equality and
+# mu-knj-disjoint a carrier grid over those lassos, a-omega-decomposition
+# every lasso over 4 letters with |u| <= 2 and |v| <= bound, and
+# knj-roundtrip a carrier prefix of bound letters per grid word.
 SUITES = {
-    "pair-enum-roundtrip": _suite_pair_enum_roundtrip,
-    "erase-homomorphism": _suite_erase_homomorphism,
-    "E-dual-characterization": _suite_e_dual,
-    "sigma2-main": _suite_sigma2_main,
-    "xi-low-witnesses": _suite_xi_low,
-    "knj-roundtrip": _suite_knj_roundtrip,
-    "theorem2-key-equality": _suite_theorem2_key_equality,
-    "mu-knj-disjoint": _suite_mu_knj_disjoint,
-    "a-omega-decomposition": _suite_a_omega_decomposition,
+    "pair-enum-roundtrip": Suite(_suite_pair_enum_roundtrip, 10_000, 1_000_000),
+    "erase-homomorphism": Suite(_suite_erase_homomorphism, 6, 10),
+    "E-dual-characterization": Suite(_suite_e_dual, 10, 14),
+    "sigma2-main": Suite(_suite_sigma2_main, 4, 6, {"seed": DEFAULT_SEED, "budget": 10_000}),
+    "xi-low-witnesses": Suite(_suite_xi_low, 5, 9),
+    "knj-roundtrip": Suite(_suite_knj_roundtrip, 2000, 1_000_000),
+    "theorem2-key-equality": Suite(_suite_theorem2_key_equality, 4, 6),
+    "mu-knj-disjoint": Suite(_suite_mu_knj_disjoint, 2, 8),
+    "a-omega-decomposition": Suite(
+        _suite_a_omega_decomposition, 3, 7, {"seed": DEFAULT_SEED, "tree": "full"}
+    ),
 }
 
 
-# The largest bound each suite accepts, so that a run ends in about a minute
-# (measured on a 2-vCPU host), not hours.  pair-enum-roundtrip checks one
-# index per unit of bound, erase-homomorphism every pair of T-words up to the
-# bound (709,742,881 at 10), E-dual-characterization (3^(bound+1) - 1) / 2
-# words (7,174,453 at 14), sigma2-main every T-lasso with |u|, |v| <= bound,
-# xi-low-witnesses every binary lasso with |u|, |v| <= bound,
-# theorem2-key-equality and mu-knj-disjoint a carrier grid over those
-# lassos, a-omega-decomposition every lasso over 4 letters with |u| <= 2 and
-# |v| <= bound, and knj-roundtrip a carrier prefix of bound letters per
-# grid word.  Each lies above the suite's default and acceptance-gate bounds.
-MAX_BOUNDS = {
-    "pair-enum-roundtrip": 1_000_000,
-    "erase-homomorphism": 10,
-    "E-dual-characterization": 14,
-    "sigma2-main": 6,
-    "xi-low-witnesses": 9,
-    "knj-roundtrip": 1_000_000,
-    "theorem2-key-equality": 6,
-    "mu-knj-disjoint": 8,
-    "a-omega-decomposition": 7,
-}
-
-
-def check_bound(name, bound):
-    """Refuse a bound past the suite's maximum in MAX_BOUNDS."""
-    limit = MAX_BOUNDS[name]
-    if bound is not None and bound > limit:
-        raise WorkbenchError(f"{name} takes a bound of at most {limit}, got {bound}")
+def check_run(name, bound=None, **given) -> Suite:
+    """The entry of suite `name`, once the run's arguments pass: refuses an
+    unknown suite, a bound past its maximum, and a seed, tree or budget the
+    suite does not read.  Run it before anything the run would write."""
+    suite = SUITES.get(name)
+    if suite is None:
+        raise WorkbenchError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
+    if bound is not None and bound > suite.max_bound:
+        raise WorkbenchError(f"{name} takes a bound of at most {suite.max_bound}, got {bound}")
+    unread = [key for key, value in given.items() if value is not None and key not in suite.reads]
+    if unread:
+        raise WorkbenchError(f"{name} does not read {' or '.join(unread)}")
+    return suite
 
 
 def run_suite(name, bound=None, seed=None, tree=None, budget=None) -> SuiteReport:
-    try:
-        fn = SUITES[name]
-    except KeyError:
-        raise WorkbenchError(
-            f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
-        ) from None
-    check_bound(name, bound)
+    given = {"seed": seed, "tree": tree, "budget": budget}
+    suite = check_run(name, bound, **given)
+    # a value of 0 is a value: only None takes the default
+    args = {key: d if given[key] is None else given[key] for key, d in suite.reads.items()}
     t0 = time.monotonic()
-    params, col = fn(bound=bound, seed=seed, tree=tree, budget=budget)
+    params, col = suite.run(suite.bound if bound is None else bound, **args)
     runtime_ms = int((time.monotonic() - t0) * 1000)
     return SuiteReport(name, params, col, runtime_ms)

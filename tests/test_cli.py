@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from omegapower import pairs
+from omegapower import pairs, suites
 from omegapower.cli import console, main
 from omegapower.pairs import m_offset
-from omegapower.suites import MAX_BOUNDS, SUITES
+from omegapower.suites import SUITES
 
 
 def run(capsys, *argv):
@@ -245,6 +245,25 @@ def test_verify_reads_the_tree_only_where_it_is_used(tmp_path, capsys):
     assert not report.exists()  # refused before the report file is opened
 
 
+@pytest.mark.parametrize("flag, value", [("seed", "5"), ("budget", "10000")])
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_refuses_a_flag_the_suite_does_not_read(
+    tmp_path, capsys, monkeypatch, suite, flag, value
+):
+    # fewer seeded draws: this test checks which flags reach a suite
+    monkeypatch.setattr(suites, "SIGMA2_SAMPLES", 100)
+    report = tmp_path / "report.json"
+    argv = ["verify", "--suite", suite, "--bound", "1", "--out", str(report)]
+    code, out, err = run(capsys, *argv, f"--{flag}", value)
+    if flag in SUITES[suite].reads:
+        assert code == 0 and f"{suite}: pass" in out
+        assert json.loads(report.read_text(encoding="utf-8"))["parameters"][flag] == int(value)
+    else:
+        assert code == 2 and out == ""
+        assert err == f"error: {suite} does not read {flag}"
+        assert not report.exists()  # refused before the report file is opened
+
+
 def test_unwritable_report_path_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "no-such-dir" / "x.json"
     code, out, err = run(
@@ -263,8 +282,8 @@ def test_negative_bound_is_a_usage_error(capsys):
 
 def test_bound_past_the_suite_maximum_is_a_usage_error(tmp_path, capsys):
     report = tmp_path / "report.json"
-    assert set(MAX_BOUNDS) == set(SUITES)
-    for suite, limit in MAX_BOUNDS.items():
+    for suite, entry in SUITES.items():
+        limit = entry.max_bound
         for bound in (limit + 1, 10**20):
             code, out, err = run(
                 capsys, "verify", "--suite", suite, "--bound", str(bound), "--out", str(report)

@@ -42,6 +42,9 @@ def test_registry():
     ]
     with pytest.raises(WorkbenchError):
         run_suite("no-such-suite")
+    # theorem2-key-equality runs both built-in trees and reads none
+    with pytest.raises(WorkbenchError, match="does not read tree"):
+        run_suite("theorem2-key-equality", bound=1, tree="diag")
 
 
 def test_every_suite_passes_at_small_bounds():
@@ -98,7 +101,7 @@ def test_fail_verdict_requires_counterexamples():
 def test_inconclusive_verdict():
     col = _Collector()
     col.bulk_pass(3)
-    col.undecided("w9")
+    col.undecided()
     report = SuiteReport("demo", {}, col, 1)
     assert report.verdict == "inconclusive"
     assert report.cases_total == 4 and report.cases_inconclusive == 1
@@ -144,7 +147,7 @@ def test_sigma2_suite_small_budget_reports_inconclusive_rate():
 def test_sigma2_budget_bounds_route_a_only():
     # route B decides every case, so at budget 0 the suite is inconclusive
     # exactly where a3_omega_member is
-    cases = _sigma2_cases(3, 20260814)
+    cases = _sigma2_cases(3, SUITES["sigma2-main"].reads["seed"])
     assert not any(e_preimage_check(w, 0) is Member.INCONCLUSIVE for w in cases)
     undecided = sum(a3_omega_member(w, 0) is Member.INCONCLUSIVE for w in cases)
     report = run_suite("sigma2-main", bound=3, budget=0)
@@ -309,12 +312,27 @@ def test_finite_suites_refuse_bounds_past_their_maximum():
         "mu-knj-disjoint": 4,
         "a-omega-decomposition": 3,
     }
-    assert set(suites.MAX_BOUNDS) == set(gate) == set(suites.SUITES)
-    for name, limit in suites.MAX_BOUNDS.items():
-        default = run_suite(name).parameters["bound"]
-        assert default <= gate[name] <= limit
-        with pytest.raises(WorkbenchError, match=f"at most {limit}"):
-            run_suite(name, bound=limit + 1)
+    assert set(gate) == set(SUITES)
+    for name, suite in SUITES.items():
+        assert suite.bound <= gate[name] <= suite.max_bound
+        with pytest.raises(WorkbenchError, match=f"at most {suite.max_bound}"):
+            run_suite(name, bound=suite.max_bound + 1)
+
+
+def test_readme_suite_table_matches_the_registry():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.split(" | ")]
+        if len(cells) > 4 and cells[0].startswith("| `"):
+            reads = set(cells[3].replace("`", "").split(", ")) - {"—"}
+            rows[cells[0][3:-1]] = (int(cells[1]), int(cells[2]), reads)
+    # the CLI names the tree parameter --rtree
+    flags = {"seed": "seed", "budget": "budget", "tree": "rtree"}
+    assert rows == {
+        name: (suite.bound, suite.max_bound, {flags[key] for key in suite.reads})
+        for name, suite in SUITES.items()
+    }
 
 
 def test_words3_corpus_is_lazy_and_ordered():
@@ -346,7 +364,8 @@ def test_a_omega_decomposition_resolves_its_tree(tmp_path):
     path = tmp_path / "tree.json"
     path.write_text(tree_to_json(diag), encoding="utf-8")
     assert suites._resolve_tree(diag) is diag
-    assert suites._resolve_tree(None).name == suites._resolve_tree("full").name == "full"
+    assert suites._resolve_tree("full").name == "full"
+    assert run_suite("a-omega-decomposition", bound=1).parameters["tree"] == "full"
     assert suites._resolve_tree("diag").name == "diag"
     assert suites._resolve_tree(str(path)).delta == diag.delta
     with pytest.raises(WorkbenchError):
