@@ -29,7 +29,11 @@ two shapes of infinite word, and each is decided on its own short path
 carrier words have no defects at all.  Consequently no ultimately periodic
 word lies in the M-shaped class without being a mu-product, so the
 classification map f_map only raises on lassos, and on a carrier its triple
-is read off the address.
+is read off the address.  A lasso u(v) is settled by one window: with k the
+index of the first block letter of v, u(v) has the infinite block shape iff
+u v v[:k], split at its 3s, reads 2^N m 2^P, then (2^R m 2^P)*, then 2^R,
+because every block letter of a block-shaped word starts a block and the
+word repeats from |u| + k.
 """
 
 import re
@@ -128,97 +132,41 @@ def _pi_decomposition(parsed, r: RTreePresentation):
     return PiDecomposition(j, tuple(chain))
 
 
-def _mu_defect0(block) -> bool:
-    _, p, r = block
-    return p != r
-
-
-def _mu_defect1(block, nxt) -> bool:
-    a = pairs.m_index(block[1])
-    return a is None or nxt[1] != pairs.m_offset(a + 1)
-
-
-def _mu_blocks(parsed):
-    """The blocks of a parse that has the mu shape (two or more blocks,
-    every P-run an M-value), else None."""
-    if parsed is None:
-        return None
-    blocks = parsed[1]
-    if len(blocks) < 2 or any(pairs.m_index(p) is None for _, p, _ in blocks):
-        return None
-    return blocks
-
-
-def _mu_parsed(parsed) -> bool:
-    blocks = _mu_blocks(parsed)
-    return blocks is not None and (
-        _mu_defect0(blocks[-2]) or _mu_defect1(blocks[-2], blocks[-1])
-    )
+def _mu_defects(parsed):
+    """The form-0 and form-1 defect flags of a parse (N, blocks), read at
+    the second-to-last block when the blocks have the mu shape (two or
+    more, every P-run an M-value); both False for any other parse or for
+    None.  The form-1 flag takes a successor offset only in the mu shape,
+    where every P-run has one."""
+    blocks = parsed[1] if parsed else ()
+    index = [pairs.m_index(p) for _, p, _ in blocks]
+    if len(index) < 2 or None in index:
+        return False, False
+    (_, p, r), (_, nxt, _) = blocks[-2:]
+    return p != r, nxt != pairs.m_offset(index[-2] + 1)
 
 
 def mu0_member(s: FiniteWord) -> bool:
-    blocks = _mu_blocks(_delimited_blocks(s))
-    return blocks is not None and _mu_defect0(blocks[-2])
+    return _mu_defects(_delimited_blocks(s))[0]
 
 
 def mu1_member(s: FiniteWord) -> bool:
-    blocks = _mu_blocks(_delimited_blocks(s))
-    return blocks is not None and _mu_defect1(blocks[-2], blocks[-1])
+    return _mu_defects(_delimited_blocks(s))[1]
 
 
 def mu_member(s: FiniteWord) -> bool:
-    return _mu_parsed(_delimited_blocks(s))
+    return any(_mu_defects(_delimited_blocks(s)))
 
 
 def a_member(s: FiniteWord, r: RTreePresentation) -> bool:
     parsed = _delimited_blocks(s)
-    return _mu_parsed(parsed) or _pi_decomposition(parsed, r) is not None
+    return any(_mu_defects(parsed)) or _pi_decomposition(parsed, r) is not None
 
 
 # ---------------------------------------------------------------- mu omega
 
-def _lasso_blocks(w: LassoWord):
-    """The (m, P, R) blocks of u(v) after its leading 2-run, up to the first
-    block that starts at an already seen cycle phase, or None without the
-    infinite block shape.
-
-    From the block at that phase on, the word repeats, so these are all the
-    blocks the word has."""
-    u, v = w.spoke.letters, w.cycle.letters
-    if all(x == 2 for x in v):
-        return None  # 2-tail: only finitely many block delimiters
-    ulen, vlen = len(u), len(v)
-
-    def letter(i):
-        return u[i] if i < ulen else v[(i - ulen) % vlen]
-
-    pos = 0
-    while letter(pos) == 2:
-        pos += 1
-    blocks = []
-    seen_phase = set()
-    while True:
-        if pos >= ulen:
-            phase = (pos - ulen) % vlen
-            if phase in seen_phase:
-                return blocks
-            seen_phase.add(phase)
-        m = letter(pos)
-        if m not in (0, 1):
-            return None
-        pos += 1
-        p = 0
-        while letter(pos) == 2:
-            p += 1
-            pos += 1
-        if letter(pos) != 3:
-            return None
-        pos += 1
-        rr = 0
-        while letter(pos) == 2:
-            rr += 1
-            pos += 1
-        blocks.append((m, p, rr))
+# a piece of a block-shaped word between two 3s: 2^R m 2^P (2^N m 2^P first)
+_PIECE = re.compile(rb"\x02*[\x00\x01](\x02*)")
 
 
 def mu_omega_member(w) -> Member:
@@ -231,18 +179,34 @@ def mu_omega_member(w) -> Member:
     period with no form-1 defect would climb strictly all the way round and
     return to its start, which is impossible.
 
+    Both conditions are read off one window.  Let k index the first block
+    letter (0 or 1) of the cycle v; without one, u(v) has finitely many
+    blocks.  In a block-shaped word every block letter starts a block, so
+    the word is u v[:k] followed by whole blocks that repeat from |u| + k
+    with period |v|.  Hence u(v) has the infinite block shape iff u v v[:k],
+    split at its 3s, reads 2^N m 2^P, then (2^R m 2^P)*, then 2^R: the
+    rotated period v[k:] v[:k] then starts with a block letter and ends in
+    a 2-run, so each further copy of it continues the shape, and the
+    window holds every P-run the word has.
+
     A carrier has no defect at all: every block has p == r, and the P-runs
     advance to the successor offset in lockstep.  Every pair of consecutive
     blocks has the shape of its first two, (m_i, M_{j+i+1}, M_{j+i+1}) then
-    M_{j+i+2}, so the defect predicates are evaluated there."""
+    M_{j+i+2}, so the defect flags are read there."""
     if isinstance(w, LassoWord):
-        blocks = _lasso_blocks(w)
+        u, v = w.spoke.letters, w.cycle.letters
+        k = next((i for i, x in enumerate(v) if x in (0, 1)), None)
+        if k is None:
+            return Member.NO
+        *pieces, tail = bytes(u + v + v[:k]).split(b"\x03")
+        heads = [_PIECE.fullmatch(x) for x in pieces]
         return Member.of(
-            blocks is not None and all(pairs.m_index(p) is not None for _, p, _ in blocks)
+            not tail.strip(b"\x02")
+            and all(h and pairs.m_index(len(h[1])) is not None for h in heads)
         )
     if isinstance(w, KnjEncodedWord):
-        b0, b1 = ((w.m.letter_at(i), w.block_run(i), w.block_run(i)) for i in (0, 1))
-        return Member.of(_mu_defect0(b0) or _mu_defect1(b0, b1))
+        blocks = [(w.m.letter_at(i), w.block_run(i), w.block_run(i)) for i in (0, 1)]
+        return Member.of(any(_mu_defects((w.n, blocks))))
     raise TypeError(f"no block structure for {w!r}")
 
 

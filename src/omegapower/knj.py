@@ -45,25 +45,19 @@ def knj_prefix_consistent(s: FiniteWord, addr: KnjAddress) -> bool:
     """True iff s is a prefix of some carrier word with address addr."""
     letters = s.letters
     n = len(letters)
-    pos = 0
-    for _ in range(addr.n):
-        if pos >= n:
-            return True
-        if letters[pos] != 2:
-            return False
-        pos += 1
-    block = 0
+    take = min(addr.n, n)
+    if letters[:take] != (2,) * take:
+        return False
+    pos, block = take, 0
     while pos < n:
         if letters[pos] not in (0, 1):  # free block letter
             return False
         pos += 1
         run = pairs.m_offset(addr.j + block + 1)
-        for count, expected in ((run, 2), (1, 3), (run, 2)):
-            for _ in range(count):
-                if pos >= n:
-                    return True
-                if letters[pos] != expected:
-                    return False
-                pos += 1
+        for count, x in ((run, 2), (1, 3), (run, 2)):
+            take = min(count, n - pos)
+            if letters[pos : pos + take] != (x,) * take:
+                return False
+            pos += take
         block += 1
     return True

@@ -412,13 +412,10 @@ def _suite_knj_roundtrip(bound):
 
 def _suite_theorem2_key_equality(bound):
     col = _Collector()
-    ms = list(corpus_lassos(2, bound, bound))
+    grid = list(_knj_grid(2, bound))
     for r in (full_tree(), diag_tree()):
-        for j in range(3):
-            for n in range(pairs.m_offset(j) + 1):
-                for m in ms:
-                    w = KnjEncodedWord(n, j, m)
-                    col.case(w, ts_lasso_accepts(r, n, m), pi_omega_knj_member(w, r), r.name)
+        for w in grid:
+            col.case(w, ts_lasso_accepts(r, w.n, w.m), pi_omega_knj_member(w, r), r.name)
     return {"bound": bound}, col
 
 

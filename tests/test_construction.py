@@ -313,7 +313,7 @@ def _block_lasso(lead, head, cycle):
 
 _M_OR_NEAR = st.sampled_from((0, 1, M1, M1 + 1, M2))
 _BLOCK = st.tuples(st.integers(0, 1), _M_OR_NEAR, _M_OR_NEAR)
-_BLOCK_LASSOS = st.builds(
+_WHOLE_BLOCK_LASSOS = st.builds(
     _block_lasso,
     st.integers(0, 2),
     st.lists(_BLOCK, max_size=2),
@@ -321,11 +321,28 @@ _BLOCK_LASSOS = st.builds(
 )
 
 
+@st.composite
+def _cut_block_lassos(draw):
+    # the first letters of the cycle move into the spoke: the same word,
+    # with a cycle that starts inside a block; then one cycle letter may be
+    # overwritten
+    w = draw(_WHOLE_BLOCK_LASSOS)
+    u, v = w.spoke.letters, w.cycle.letters
+    cut = draw(st.integers(0, len(v) - 1))
+    u, v = u + v[:cut], list(v[cut:] + v[:cut])
+    if draw(st.booleans()):
+        v[draw(st.integers(0, len(v) - 1))] = draw(st.integers(0, 3))
+    return LassoWord(u, v, size=4)
+
+
+_BLOCK_LASSOS = st.one_of(_WHOLE_BLOCK_LASSOS, _cut_block_lassos())
+
+
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(_BLOCK_LASSOS)
 def test_mu_omega_matches_factor_search_on_block_lassos(w):
     # lead 2-run, up to two head blocks and one to three cycle blocks, with
-    # runs at and next to the offsets M_0, M_1, M_2
+    # runs at and next to the offsets M_0, M_1, M_2, whole or cut
     cap = 4 * (len(w.spoke) + len(w.cycle)) + 8
     assert mu_omega_member(w) is omega_factor_evidence(w, mu_member, cap), str(w)
 

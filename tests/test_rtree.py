@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from omegapower import (
     KnjEncodedWord,
     LassoWord,
+    Member,
     QPair,
     WorkbenchError,
+    a_omega_member,
     corpus_lassos,
     diag_tree,
     full_tree,
@@ -160,6 +162,7 @@ def test_theorem2_routes_agree_on_random_trees(query):
     want = matrix_lasso_accepts(r, w.n, w.m)
     assert pi_omega_knj_member(w, r) is want
     assert ts_lasso_accepts(r, w.n, w.m) is want
+    assert a_omega_member(w, r) is Member.of(want)
     witness = ts_lasso_witness(r, w.n, w.m)
     assert (witness is not None) is want
     if witness is not None:

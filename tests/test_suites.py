@@ -144,13 +144,26 @@ def test_sigma2_suite_small_budget_reports_inconclusive_rate():
     assert report.verdict == "inconclusive"
 
 
-def test_sigma2_budget_bounds_route_a_only():
+def _recorder(route, answers):
+    def record(*args):
+        answers.append(route(*args))
+        return answers[-1]
+
+    return record
+
+
+def test_sigma2_budget_bounds_route_a_only(monkeypatch):
     # route B decides every case, so at budget 0 the suite is inconclusive
-    # exactly where a3_omega_member is
+    # exactly where a3_omega_member is; both routes' answers are recorded
+    # during the one suite pass
+    a_answers, b_answers = [], []
+    monkeypatch.setattr(suites, "a3_omega_member", _recorder(a3_omega_member, a_answers))
+    monkeypatch.setattr(suites, "e_preimage_check", _recorder(e_preimage_check, b_answers))
     cases = _sigma2_cases(3, SUITES["sigma2-main"].reads["seed"])
-    assert not any(e_preimage_check(w, 0) is Member.INCONCLUSIVE for w in cases)
-    undecided = sum(a3_omega_member(w, 0) is Member.INCONCLUSIVE for w in cases)
     report = run_suite("sigma2-main", bound=3, budget=0)
+    assert len(a_answers) == len(b_answers) == len(cases)
+    assert Member.INCONCLUSIVE not in b_answers
+    undecided = a_answers.count(Member.INCONCLUSIVE)
     assert report.cases_total == len(cases)
     assert report.cases_inconclusive == undecided > 0
     assert report.verdict == "inconclusive"
