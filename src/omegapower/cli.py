@@ -29,7 +29,15 @@ from .construction import (
     mu_member,
     pi_member,
 )
-from .erasing import a3_member, a3_omega_member, e_def_member, erase_fin, erase_lasso, t_member
+from .erasing import (
+    _e_depth,
+    a3_member,
+    a3_omega_member,
+    e_def_member,
+    erase_fin,
+    erase_lasso,
+    t_member,
+)
 from .errors import WorkbenchError
 from .literals import format_word, parse_word_literal
 from .rtree import load_tree
@@ -158,7 +166,11 @@ def _omega_verdict(args):
     if args.construction == "sigma2":
         if not isinstance(w, LassoWord):
             raise WorkbenchError("sigma2 expects a lasso over {0,1,2}")
-        return a3_omega_member(w, args.budget)
+        verdict = a3_omega_member(w, args.budget)
+        if verdict is Member.INCONCLUSIVE:
+            depth = _e_depth(w.spoke.letters, w.cycle.letters)
+            print(f"inconclusive: needs E-depth {depth}, budget {args.budget}", file=sys.stderr)
+        return verdict
     if args.construction == "theorem2":
         if not isinstance(w, (LassoWord, KnjEncodedWord)):
             raise WorkbenchError("theorem2 expects a lasso or a K[N,j] literal")

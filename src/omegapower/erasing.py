@@ -15,9 +15,10 @@ are the chains (c_0 1)(c_1 1)...(c_k 1) with each c_i a product of
 {0}-letters and E-words, the single word "1" excluded (see a3_member).
 
 a3_omega_member decides membership of a lasso in the omega-power of A with
-a factor machine whose only unbounded part is the E-depth counter; a
-static depth cap makes the search exact, and one bit-parallel sweep of the
-cycle summarizes the lasso product at the cycle boundary.
+a factor machine whose only unbounded part is the E-depth counter; capping
+it at D, the deepest nesting of matched 1-2 pairs in u v v, makes the
+search exact, and one bit-parallel sweep of the cycle summarizes the lasso
+product at the cycle boundary.
 e_preimage_check answers the same question through the erasing map; the
 two never consult each other.
 """
@@ -186,7 +187,7 @@ def b2_omega_member(w: LassoWord) -> bool:
     for x in w.spoke.letters + w.cycle.letters:
         if x not in (0, 1):
             raise WorkbenchError("expected a binary lasso")
-    return w != LassoWord((1,), (0,), size=2)
+    return w.spoke.letters != (1,) or w.cycle.letters != (0,)
 
 
 # ------------------------------------------------------- omega-power of A
@@ -317,31 +318,63 @@ def _accepts(u, v, cap):
     return _recurs(start, _summaries(v, cap, range(2 * cap + 2)))
 
 
+def _e_depth(u, v) -> int:
+    """The depth cap D of a3_omega_member on checked letters, in one pass:
+    max(1, the largest drawdown of the counter (1s minus 2s) over u v v)."""
+    c = top = d = 0
+    for x in u + v + v:
+        if x == 1:
+            c += 1
+            if c > top:
+                top = c
+        elif x == 2:
+            c -= 1
+            if top - c > d:
+                d = top - c
+    return max(1, d)
+
+
 def a3_omega_member(a: LassoWord, budget: int = 10_000) -> Member:
     """Membership of a T-lasso u(v) in the omega-power of A.
 
     The lasso is in A^omega iff the factor machine (see _summaries) has a
     run on it that completes infinitely many words.  Such a run never goes
-    deeper than the cap c = max(1, (|u|+|v|) // 2):
+    deeper than D = _e_depth(u, v), the largest number of matched 1-2 pairs
+    of u v v that enclose one position (each 2 matched with the latest
+    unmatched 1 before it):
 
     - E controls leave only by closing, so in a run with infinitely many
-      completions every E-factor closes.
-    - Let w_i..w_j be a factor and c(k) the count of 1s minus 2s in
+      completions every E-factor closes.  Depth is counted inside one
+      E-factor, so it is the most the counter rises above the factor's
+      start within it.
+    - Let w_i..w_j be an E-factor and c(k) the count of 1s minus 2s in
       w_1..w_k.  Then c(k) > c(i-1) for i <= k < j, and c(j) = c(i-1).
     - For k >= |u|, c(k+|v|) = c(k) + b with cycle balance b >= 0.  So if
       j-|v| >= max(i, |u|+1), then c(j-|v|) <= c(i-1), against the
-      positivity of the interior.
-    - Hence L = j-i+1 <= |v| or j <= |u|+|v|; either way L <= |u|+|v|,
-      and the factor's depth, which must come back down to 0, is at most
-      L/2.
+      positivity of the interior.  Hence j-i+1 <= |v| or j <= |u|+|v|,
+      and shifting a factor that starts past u back by whole periods
+      (which changes neither its letters nor its counter differences)
+      places it inside u v v.
+    - Inside u v v the factor's 1s and 2s match among themselves exactly
+      as they match in u v v: it is balanced and its counter stays above
+      its start, so no 2 in it reaches a 1 before it, and no 1 in it is
+      left for a 2 after it.  Its depth at a position is the number of
+      its matched pairs enclosing that position, at most D.
 
-    budget bounds the depth: if c exceeds it, the search runs at depth
+    That number is the largest drawdown max(c(p) - c(q), p <= q) of the
+    counter over u v v: each of the d levels a drawdown descends was
+    pushed by a 1 at or before p and is popped by a 2 after it, so d
+    matched pairs enclose position p; and k nested pairs around a position
+    descend k levels from it to the outermost 2.  D takes at least 1, so
+    the machine keeps its E controls.
+
+    budget bounds the depth: if D exceeds it, the search runs at depth
     max(budget, 1); a YES found there stands, anything else is
     INCONCLUSIVE."""
     if not t_member(a):
         raise NotInT(f"{a} has a prefix with more 2s than 1s")
     u, v = a.spoke.letters, a.cycle.letters
-    cap = max(1, (len(u) + len(v)) // 2)
+    cap = _e_depth(u, v)
     if cap <= budget:
         return Member.of(_accepts(u, v, cap))
     return Member.YES if _accepts(u, v, max(budget, 1)) else Member.INCONCLUSIVE

@@ -307,11 +307,20 @@ def test_block_offset_too_long_to_print_is_a_usage_error(capsys):
 
 
 def test_sigma2_budget_below_the_depth_cap_is_inconclusive(capsys):
-    # 1(12) needs depth 1 of the cap max(1, 3 // 2); budget 0 cannot settle
-    # its no
+    # 1(12) needs depth 1, the one matched pair 12 that encloses a position
+    # of 1 12 12; budget 0 cannot settle its no, and stderr says why
     argv = ["omega-member", "--construction", "sigma2", "--input", "1(12)"]
     assert run(capsys, *argv, "--budget", "1") == (1, "no", "")
-    assert run(capsys, *argv, "--budget", "0") == (3, "inconclusive", "")
+    assert run(capsys, *argv, "--budget", "0") == (
+        3,
+        "inconclusive",
+        "inconclusive: needs E-depth 1, budget 0",
+    )
+    assert run(capsys, *argv[:-1], "(1122)", "--budget", "1") == (
+        3,
+        "inconclusive",
+        "inconclusive: needs E-depth 2, budget 1",
+    )
     assert run(capsys, *argv[:-1], "(12)", "--budget", "0") == (0, "yes", "")
 
 

@@ -28,7 +28,7 @@ from omegapower import (
     t_lasso,
     t_member,
 )
-from omegapower.erasing import _accepts, _summaries, _warshall
+from omegapower.erasing import _accepts, _e_depth, _summaries, _warshall
 
 from erase_reference import erase_lasso_within, stabilized_erase_prefix
 
@@ -313,6 +313,14 @@ def test_a3_omega_frozen():
 
 def test_a3_omega_budget_exhaustion_is_honest():
     assert a3_omega_member(lasso("(1122)"), budget=1) is Member.INCONCLUSIVE
+    assert a3_omega_member(lasso("(1122)"), budget=2) is Member.YES
+
+
+def test_a3_omega_budget_binds_only_past_the_bracket_depth():
+    # 4,000 letters but no matched pair inside another: depth 1 decides
+    # it, where the length cap (|u|+|v|) // 2 = 2000 left it inconclusive
+    assert _e_depth((1,), (1, 2) * 1999 + (0,)) == 1
+    assert a3_omega_member(lasso("1(" + "12" * 1999 + "0)"), budget=10) is Member.NO
 
 
 def _machine_steps(ctrl, letter):
@@ -394,12 +402,26 @@ def test_warshall_closes_long_cycles():
 
 
 def test_depth_cap_is_complete():
-    # the docstring's cap c = max(1, (|u|+|v|) // 2) loses no run: eight
-    # more levels of depth change no verdict
+    # the docstring's cap D, the bracket depth of u v v, loses no run:
+    # eight more levels, or the length cap max(1, (|u|+|v|) // 2) that D
+    # replaced, change no verdict
     for w in corpus_lassos(3, 4, 4, t_lasso):
         u, v = w.spoke.letters, w.cycle.letters
-        cap = max(1, (len(u) + len(v)) // 2)
-        assert _accepts(u, v, cap) == _accepts(u, v, cap + 8), str(w)
+        d = _e_depth(u, v)
+        want = _accepts(u, v, d)
+        assert _accepts(u, v, d + 8) == want, str(w)
+        assert _accepts(u, v, max(1, (len(u) + len(v)) // 2)) == want, str(w)
+
+
+def _holding_ground(u, v):
+    """The lasso u(v) after the last 2s of a cycle that loses ground (more
+    2s than 1s) become 1s."""
+    for k in reversed(range(len(v))):
+        if v.count(1) >= v.count(2):
+            break
+        if v[k] == 2:
+            v[k] = 1
+    return LassoWord(u, v, size=3)
 
 
 @st.composite
@@ -423,17 +445,43 @@ def t_lassos(draw):
             word[k] = x = 1
         c += (x == 1) - (x == 2)
     u, v = word[: len(u)], word[len(u) :]
-    for k in reversed(range(len(v))):
-        if v.count(1) >= v.count(2):
-            break
-        if v[k] == 2:
-            v[k] = 1
-    return LassoWord(u, v, size=3)
+    return _holding_ground(u, v)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(t_lassos())
 def test_a3_omega_agrees_with_the_erased_image(w):
+    assert t_member(w)
+    assert a3_omega_member(w) is e_preimage_check(w)
+
+
+@st.composite
+def nested_t_lassos(draw):
+    """T-lassos of at most 40 letters made of runs of 1s closed by runs of
+    2s (a run of k 1s by k, k-1 or k-2 2s, or by none), with 0, 12 or 01
+    inside each, so matched pairs nest deeply; the cycle is repaired by
+    _holding_ground."""
+    word = []
+    for k, short, inner in draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 8),
+                st.sampled_from((0, 0, 0, 1, 2, 8)),
+                st.sampled_from(((), (0,), (1, 2), (0, 1))),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    ):
+        word += [1] * k + list(inner) + [2] * max(0, k - short)
+    word = word[:40]
+    cut = draw(st.integers(0, len(word) - 1))
+    return _holding_ground(word[:cut], word[cut:])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(nested_t_lassos())
+def test_a3_omega_at_the_bracket_depth_agrees_with_the_erased_image(w):
     assert t_member(w)
     assert a3_omega_member(w) is e_preimage_check(w)
 
