@@ -30,6 +30,7 @@ from .construction import (
     pi_member,
 )
 from .erasing import (
+    DEFAULT_BUDGET,
     _e_depth,
     a3_member,
     a3_omega_member,
@@ -59,14 +60,6 @@ _MEMBER_LANGS = {
 
 _TREE_LANGS = ("pi", "A4")
 
-_OMEGA_SIZES = {
-    "sigma2": 3,
-    "xi1-sigma": 2,
-    "xi1-pi": 2,
-    "xi2-pi": 2,
-    "theorem2": 4,
-}
-
 
 def _count(text):
     try:
@@ -78,8 +71,14 @@ def _count(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one stderr line, without the usage block; subparsers inherit it
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="omegapower",
         description="Workbench for omega-power constructions over small alphabets.",
     )
@@ -103,12 +102,10 @@ def _build_parser():
     p_member.add_argument("--rtree", default="full", help="full, diag, or a JSON file")
 
     p_omega = sub.add_parser("omega-member", help="omega-power membership")
-    p_omega.add_argument(
-        "--construction", choices=sorted(_OMEGA_SIZES), required=True
-    )
+    p_omega.add_argument("--construction", choices=sorted(_OMEGA), required=True)
     p_omega.add_argument("--input", required=True, help="lasso or K[N,j]m literal")
     p_omega.add_argument("--rtree", default="full")
-    p_omega.add_argument("--budget", type=_count, default=10_000)
+    p_omega.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
 
     p_verify = sub.add_parser("verify", help="run a dual-route suite")
     p_verify.add_argument("--suite", choices=sorted(SUITES), required=True)
@@ -160,33 +157,41 @@ def _cmd_member(args):
     return 0 if verdict else 1
 
 
-def _omega_verdict(args):
-    size = _OMEGA_SIZES[args.construction]
-    w = parse_word_literal(args.input, size)
-    if args.construction == "sigma2":
-        if not isinstance(w, LassoWord):
-            raise WorkbenchError("sigma2 expects a lasso over {0,1,2}")
-        verdict = a3_omega_member(w, args.budget)
-        if verdict is Member.INCONCLUSIVE:
-            depth = _e_depth(w.spoke.letters, w.cycle.letters)
-            print(f"inconclusive: needs E-depth {depth}, budget {args.budget}", file=sys.stderr)
-        return verdict
-    if args.construction == "theorem2":
-        if not isinstance(w, (LassoWord, KnjEncodedWord)):
-            raise WorkbenchError("theorem2 expects a lasso or a K[N,j] literal")
-        return a_omega_member(w, load_tree(args.rtree))
+def _sigma2_verdict(w, args):
+    if not isinstance(w, LassoWord):
+        raise WorkbenchError("sigma2 expects a lasso over {0,1,2}")
+    verdict = a3_omega_member(w, args.budget)
+    if verdict is Member.INCONCLUSIVE:
+        depth = _e_depth(w.spoke.letters, w.cycle.letters)
+        print(f"inconclusive: needs E-depth {depth}, budget {args.budget}", file=sys.stderr)
+    return verdict
+
+
+def _theorem2_verdict(w, args):
+    if not isinstance(w, (LassoWord, KnjEncodedWord)):
+        raise WorkbenchError("theorem2 expects a lasso or a K[N,j] literal")
+    return a_omega_member(w, load_tree(args.rtree))
+
+
+def _xi_verdict(w, args, witness):
     if not isinstance(w, LassoWord):
         raise WorkbenchError(f"{args.construction} expects a binary lasso")
-    witness = {
-        "xi1-sigma": xi1_sigma_witness,
-        "xi1-pi": zero_word_automaton,
-        "xi2-pi": zero_star_one_automaton,
-    }[args.construction]()
-    return Member.of(lasso_accepts(omega_power_automaton(witness), w))
+    return Member.of(lasso_accepts(omega_power_automaton(witness()), w))
+
+
+# construction: (alphabet size, decider of a parsed literal)
+_OMEGA = {
+    "sigma2": (3, _sigma2_verdict),
+    "xi1-sigma": (2, lambda w, args: _xi_verdict(w, args, xi1_sigma_witness)),
+    "xi1-pi": (2, lambda w, args: _xi_verdict(w, args, zero_word_automaton)),
+    "xi2-pi": (2, lambda w, args: _xi_verdict(w, args, zero_star_one_automaton)),
+    "theorem2": (4, _theorem2_verdict),
+}
 
 
 def _cmd_omega(args):
-    verdict = _omega_verdict(args)
+    size, decide = _OMEGA[args.construction]
+    verdict = decide(parse_word_literal(args.input, size), args)
     print(verdict.value)
     if verdict is Member.YES:
         return 0

@@ -334,7 +334,11 @@ def _e_depth(u, v) -> int:
     return max(1, d)
 
 
-def a3_omega_member(a: LassoWord, budget: int = 10_000) -> Member:
+# the E-depth budget of a3_omega_member when none is given
+DEFAULT_BUDGET = 10_000
+
+
+def a3_omega_member(a: LassoWord, budget: int = DEFAULT_BUDGET) -> Member:
     """Membership of a T-lasso u(v) in the omega-power of A.
 
     The lasso is in A^omega iff the factor machine (see _summaries) has a

@@ -12,8 +12,8 @@ for some choice of block letters (the m_i positions are free bits).
 from dataclasses import dataclass
 
 from . import pairs
-from .errors import InvalidAddress, NotInKnj
-from .words import FiniteWord, KnjEncodedWord, LassoWord
+from .errors import NotInKnj
+from .words import FiniteWord, KnjEncodedWord, LassoWord, check_address
 
 
 @dataclass(frozen=True)
@@ -22,12 +22,7 @@ class KnjAddress:
     j: int
 
     def __post_init__(self):
-        if self.j < 0 or self.n < 0:
-            raise InvalidAddress("address components must be nonnegative")
-        if self.n > pairs.m_offset(self.j):
-            raise InvalidAddress(
-                f"N={self.n} exceeds M_{self.j}={pairs.m_offset(self.j)}"
-            )
+        check_address(self.n, self.j)
 
 
 def phi_inverse(m: LassoWord, addr: KnjAddress) -> KnjEncodedWord:

@@ -23,6 +23,16 @@ def _digits(text):
     return tuple([int(c) for c in text])  # exact size, see FiniteWord
 
 
+def _check_fits(text, letters, size):
+    """Refuse letters whose largest does not fit the alphabet, at that
+    letter's first position in the literal."""
+    top = max(letters)
+    if top >= size:
+        raise LiteralSyntaxError(
+            f"letter {top} does not fit an alphabet of size {size}", text.index(str(top))
+        )
+
+
 def parse_word_literal(text: str, size: int = 4):
     """Parse a literal into a FiniteWord, LassoWord, or KnjEncodedWord."""
     if not isinstance(text, str):
@@ -35,7 +45,10 @@ def parse_word_literal(text: str, size: int = 4):
             raise LiteralSyntaxError(
                 "carrier literal must look like K[N,j]u(v) with binary u(v)", 0
             )
-        n, j = int(m.group(1)), int(m.group(2))
+        try:
+            n, j = int(m.group(1)), int(m.group(2))
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise LiteralSyntaxError("carrier address has too many digits", 1) from None
         address_m = LassoWord(_digits(m.group(3)), _digits(m.group(4)), size=2)
         try:
             return KnjEncodedWord(n, j, address_m)
@@ -49,23 +62,14 @@ def parse_word_literal(text: str, size: int = 4):
                 "lasso literal must look like u(v) with nonempty v", pos
             )
         spoke, cycle = _digits(m.group(1)), _digits(m.group(2))
-        top = max(cycle + spoke)
-        if top >= size:
-            raise LiteralSyntaxError(
-                f"letter {top} does not fit an alphabet of size {size}",
-                text.index(str(top)),
-            )
+        _check_fits(text, spoke + cycle, size)
         return LassoWord(spoke, cycle, size=size)
     m = _FINITE.match(text)
     if not m:
         bad = next(i for i, c in enumerate(text) if c not in "0123")
         raise LiteralSyntaxError(f"unexpected character {text[bad]!r}", bad)
     word = _digits(text)
-    top = max(word)
-    if top >= size:
-        raise LiteralSyntaxError(
-            f"letter {top} does not fit an alphabet of size {size}", text.index(str(top))
-        )
+    _check_fits(text, word, size)
     return FiniteWord(word, size)
 
 

@@ -25,6 +25,7 @@ from .automata import (
 from .construction import a_member, a_omega_member, f_map, mu_omega_member, pi_omega_knj_member
 from .corpus import corpus_lassos, random_lassos
 from .erasing import (
+    DEFAULT_BUDGET,
     a3_omega_member,
     b2_omega_member,
     e_counter_member,
@@ -47,16 +48,23 @@ VERSION = "0.1.0"
 EXAMPLE_CAP = 10
 
 
-class _Collector:
-    def __init__(self):
-        self.total = 0
-        self.failed = 0
-        self.inconclusive = 0
-        self.examples = []
+class SuiteReport:
+    """One suite run: run_suite records its parameters and time, and the
+    runner adds its cases."""
+
+    def __init__(self, suite, parameters):
+        self.suite = suite
+        self.parameters = parameters
+        self.cases_total = 0
+        self.cases_failed = 0
+        self.cases_inconclusive = 0
+        self.counterexamples = []
+        self.runtime_ms = 0
+        self.version = VERSION
 
     def case(self, literal, expected, got, prefix=None):
         if expected == got:
-            self.total += 1
+            self.cases_total += 1
         else:
             self.fail_only(literal, expected, got, prefix)
 
@@ -64,35 +72,23 @@ class _Collector:
         """A failed case; bulk suites add their passes with bulk_pass.  The
         label is "prefix literal" when a prefix is given, formatted only
         here, so passing cases never build it."""
-        self.total += 1
-        self.failed += 1
-        if len(self.examples) < EXAMPLE_CAP:
+        self.cases_total += 1
+        self.cases_failed += 1
+        if len(self.counterexamples) < EXAMPLE_CAP:
             label = str(literal) if prefix is None else f"{prefix} {literal}"
-            self.examples.append([label, str(expected), str(got)])
+            self.counterexamples.append([label, str(expected), str(got)])
 
     def bulk_pass(self, count):
-        self.total += count
+        self.cases_total += count
 
     def bulk_fail(self, count):
         """Failed cases past the ones a bulk suite reports with fail_only."""
-        self.total += count
-        self.failed += count
+        self.cases_total += count
+        self.cases_failed += count
 
     def undecided(self):
-        self.total += 1
-        self.inconclusive += 1
-
-
-class SuiteReport:
-    def __init__(self, suite, parameters, collector, runtime_ms):
-        self.suite = suite
-        self.parameters = parameters
-        self.cases_total = collector.total
-        self.cases_failed = collector.failed
-        self.cases_inconclusive = collector.inconclusive
-        self.counterexamples = collector.examples
-        self.runtime_ms = runtime_ms
-        self.version = VERSION
+        self.cases_total += 1
+        self.cases_inconclusive += 1
 
     @property
     def verdict(self):
@@ -179,19 +175,16 @@ def _merged(*corpora):
 
 # ------------------------------------------------------------- suites
 
-def _suite_pair_enum_roundtrip(bound):
-    col = _Collector()
-    misses = 0
+def _suite_pair_enum_roundtrip(report, bound):
     for n in range(bound):
         if pairs.index_of_q(pairs.q_of_index(n)) != n:
-            misses += 1
-            col.fail_only(f"q_{n}", n, pairs.index_of_q(pairs.q_of_index(n)))
-    col.bulk_pass(bound - misses)
+            report.fail_only(f"q_{n}", n, pairs.index_of_q(pairs.q_of_index(n)))
+    report.bulk_pass(bound - report.cases_failed)
     for n, p in enumerate(enumerate_pairs(3)):
-        col.case(f"order_{n}", str(p), str(pairs.q_of_index(n)))
+        report.case(f"order_{n}", str(p), str(pairs.q_of_index(n)))
     for j in range(7):
         expect = pairs.QPair((1,) * j, (1,) * j)
-        col.case(f"offset_{j}", str(expect), str(pairs.q_of_index(pairs.m_offset(j))))
+        report.case(f"offset_{j}", str(expect), str(pairs.q_of_index(pairs.m_offset(j))))
     for n in range(min(bound, 200)):
         q = pairs.q_of_index(n)
         for m in (0, 1):
@@ -202,8 +195,7 @@ def _suite_pair_enum_roundtrip(bound):
                     and ext.beta[: len(q)] == q.beta
                     and len(ext) == len(q) + 1
                 )
-                col.case(f"step_{n}_{m}_{p}", True, ok)
-    return {"bound": bound}, col
+                report.case(f"step_{n}_{m}_{p}", True, ok)
 
 
 def _lane_bits(letters):
@@ -240,7 +232,7 @@ def _lanes_set(diff, width, lows):
     return (diff & lows).bit_count()
 
 
-def _suite_erase_homomorphism(bound):
+def _suite_erase_homomorphism(report, bound):
     """erase(s . t) against erase_fin(s) . erase_fin(t) for every pair of
     T-words up to the bound, with one lane of `width` bits per left factor
     s = words[k] (bit-parallel shift-and, Baeza-Yates & Gonnet 1992).
@@ -255,7 +247,6 @@ def _suite_erase_homomorphism(bound):
     erase_fin(s) . erase_fin(t) packed into the same lanes: `es` holds every
     erase_fin(s) and `start` marks where each lane's image of t begins.  A
     node compares two ints; only a mismatch decodes its failing lanes."""
-    col = _Collector()
     words = [w for w in _words3_up_to(bound) if t_member(w)]
     images = [erase_fin(w).letters for w in words]
     # room for |s| + |t| letters and the next-free bit on either route, so a
@@ -320,21 +311,20 @@ def _suite_erase_homomorphism(bound):
             lanes = itertools.islice(_failing_lanes(diff, val, pos, width), EXAMPLE_CAP)
             bad = sorted(bad + [(k, i, got) for k, got in lanes])[:EXAMPLE_CAP]
     for k, i, got in bad:
-        col.fail_only(
+        report.fail_only(
             "".join(map(str, words[k])) + "|" + "".join(map(str, words[i])),
             images[k] + images[i],
             got,
         )
-    col.bulk_fail(misses - len(bad))
-    col.bulk_pass(len(words) ** 2 - misses)
-    return {"bound": bound, "words": len(words)}, col
+    report.bulk_fail(misses - len(bad))
+    report.bulk_pass(len(words) ** 2 - misses)
+    return {"words": len(words)}
 
 
-def _suite_e_dual(bound):
+def _suite_e_dual(report, bound):
     """Both characterizations of E on every word over {0,1,2} up to the
     bound, one call to each per word; only a failing run walks the words
     again, to report its first counterexamples."""
-    col = _Collector()
     misses = sum(
         map(
             operator.ne,
@@ -343,14 +333,13 @@ def _suite_e_dual(bound):
         )
     )
     for w in _words3_up_to(bound):  # a passing run stops at once
-        if col.failed == min(misses, EXAMPLE_CAP):
+        if report.cases_failed == min(misses, EXAMPLE_CAP):
             break
         want, got = e_def_member(w), e_counter_member(w)
         if want != got:
-            col.fail_only("".join(map(str, w)) or "ε", want, got)
-    col.bulk_fail(misses - col.failed)
-    col.bulk_pass((3 ** (bound + 1) - 1) // 2 - misses)
-    return {"bound": bound}, col
+            report.fail_only("".join(map(str, w)) or "ε", want, got)
+    report.bulk_fail(misses - report.cases_failed)
+    report.bulk_pass((3 ** (bound + 1) - 1) // 2 - misses)
 
 
 SIGMA2_SAMPLES = 10_000
@@ -365,68 +354,59 @@ def _sigma2_cases(bound, seed) -> list:
     )
 
 
-def _suite_sigma2_main(bound, seed, budget):
+def _suite_sigma2_main(report, bound, seed, budget):
     """Route A is a3_omega_member, whose E-depth budget may leave a case
     INCONCLUSIVE; route B, e_preimage_check, decides every case."""
-    col = _Collector()
     for w in _sigma2_cases(bound, seed):
         got = a3_omega_member(w, budget)
         want = e_preimage_check(w)
         if got is Member.INCONCLUSIVE:
-            col.undecided()
+            report.undecided()
         else:
-            col.case(w, want.value, got.value)
-    return {"bound": bound, "seed": seed, "budget": budget, "samples": SIGMA2_SAMPLES}, col
+            report.case(w, want.value, got.value)
+    return {"samples": SIGMA2_SAMPLES}
 
 
-def _suite_xi_low(bound):
-    col = _Collector()
+def _suite_xi_low(report, bound):
     zero_power = omega_power_automaton(zero_word_automaton())
     ones_power = omega_power_automaton(zero_star_one_automaton())
     xi1_power = omega_power_automaton(xi1_sigma_witness())
     zero_lasso = LassoWord((), (0,), size=2)
     for w in corpus_lassos(2, bound, bound):
-        col.case(w, w == zero_lasso, lasso_accepts(zero_power, w), "zero")
-        col.case(w, pinf_member(w), lasso_accepts(ones_power, w), "ones")
-        col.case(w, b2_omega_member(w), lasso_accepts(xi1_power, w), "xi1")
-    return {"bound": bound}, col
+        report.case(w, w == zero_lasso, lasso_accepts(zero_power, w), "zero")
+        report.case(w, pinf_member(w), lasso_accepts(ones_power, w), "ones")
+        report.case(w, b2_omega_member(w), lasso_accepts(xi1_power, w), "xi1")
 
 
-def _suite_knj_roundtrip(bound):
-    col = _Collector()
+def _suite_knj_roundtrip(report, bound):
     for w in _knj_grid(2, 2):
         addr = KnjAddress(w.n, w.j)
-        col.case(w, str(w.m), str(phi(phi_inverse(w.m, addr))), "phi")
+        report.case(w, str(w.m), str(phi(phi_inverse(w.m, addr))), "phi")
         head = prefix(w, bound)
-        col.case(w, True, knj_prefix_consistent(head, addr), "consistent")
+        report.case(w, True, knj_prefix_consistent(head, addr), "consistent")
         # The negative checks only bite once the prefix reaches the first
         # position where the two carrier shapes disagree.
         if w.n + 1 <= pairs.m_offset(w.j) and bound > w.n:
             wrong = KnjAddress(w.n + 1, w.j)
-            col.case(w, False, knj_prefix_consistent(head, wrong), "shifted")
+            report.case(w, False, knj_prefix_consistent(head, wrong), "shifted")
         if bound >= w.n + pairs.m_offset(w.j + 1) + 2:
             wrong_j = KnjAddress(w.n, w.j + 1)
-            col.case(w, False, knj_prefix_consistent(head, wrong_j), "misfiled")
-    return {"bound": bound}, col
+            report.case(w, False, knj_prefix_consistent(head, wrong_j), "misfiled")
 
 
-def _suite_theorem2_key_equality(bound):
-    col = _Collector()
+def _suite_theorem2_key_equality(report, bound):
     grid = list(_knj_grid(2, bound))
     for r in (full_tree(), diag_tree()):
         for w in grid:
-            col.case(w, ts_lasso_accepts(r, w.n, w.m), pi_omega_knj_member(w, r), r.name)
-    return {"bound": bound}, col
+            report.case(w, ts_lasso_accepts(r, w.n, w.m), pi_omega_knj_member(w, r), r.name)
 
 
-def _suite_mu_knj_disjoint(bound):
-    col = _Collector()
+def _suite_mu_knj_disjoint(report, bound):
     for w in _knj_grid(2, bound):
-        col.case(w, Member.NO.value, mu_omega_member(w).value, "mu")
+        report.case(w, Member.NO.value, mu_omega_member(w).value, "mu")
         t, s_len, j1 = f_map(w)
         ok = len(t) == 0 and s_len == w.n and j1 == w.j + 1
-        col.case(w, True, ok, "triple")
-    return {"bound": bound}, col
+        report.case(w, True, ok, "triple")
 
 
 def _curated_a_omega():
@@ -445,9 +425,8 @@ def _curated_a_omega():
     ]
 
 
-def _suite_a_omega_decomposition(bound, seed, tree):
+def _suite_a_omega_decomposition(report, bound, seed, tree):
     r = _resolve_tree(tree)
-    col = _Collector()
     member = lambda s: a_member(s, r)
     for w in _merged(
         corpus_lassos(4, 2, bound), _curated_a_omega(), random_lassos(4, 200, 6, 6, seed)
@@ -455,17 +434,19 @@ def _suite_a_omega_decomposition(bound, seed, tree):
         got = a_omega_member(w, r)
         cap = 4 * (len(w.spoke) + len(w.cycle)) + 8
         want = omega_factor_evidence(w, member, cap)
-        col.case(w, want.value, got.value)
+        report.case(w, want.value, got.value)
     for w in _knj_grid(1, 2):
         got = a_omega_member(w, r)
         want = Member.of(ts_lasso_accepts(r, w.n, w.m))
-        col.case(w, want.value, got.value)
-    return {"bound": bound, "seed": seed, "tree": r.name}, col
+        report.case(w, want.value, got.value)
+    return {"tree": r.name}
 
 
 class Suite(NamedTuple):
     """A suite: its runner, its default and maximum bound, and the default
-    of each other parameter the runner reads (its keyword arguments)."""
+    of each other parameter the runner reads (its keyword arguments).  The
+    runner adds its cases to the report it is given and returns the
+    parameters it derives, if any."""
 
     run: Callable
     bound: int
@@ -489,7 +470,9 @@ SUITES = {
     "pair-enum-roundtrip": Suite(_suite_pair_enum_roundtrip, 10_000, 1_000_000),
     "erase-homomorphism": Suite(_suite_erase_homomorphism, 6, 10),
     "E-dual-characterization": Suite(_suite_e_dual, 10, 14),
-    "sigma2-main": Suite(_suite_sigma2_main, 4, 6, {"seed": DEFAULT_SEED, "budget": 10_000}),
+    "sigma2-main": Suite(
+        _suite_sigma2_main, 4, 6, {"seed": DEFAULT_SEED, "budget": DEFAULT_BUDGET}
+    ),
     "xi-low-witnesses": Suite(_suite_xi_low, 5, 9),
     "knj-roundtrip": Suite(_suite_knj_roundtrip, 2000, 1_000_000),
     "theorem2-key-equality": Suite(_suite_theorem2_key_equality, 4, 6),
@@ -518,9 +501,11 @@ def check_run(name, bound=None, **given) -> Suite:
 def run_suite(name, bound=None, seed=None, tree=None, budget=None) -> SuiteReport:
     given = {"seed": seed, "tree": tree, "budget": budget}
     suite = check_run(name, bound, **given)
+    bound = suite.bound if bound is None else bound
     # a value of 0 is a value: only None takes the default
     args = {key: d if given[key] is None else given[key] for key, d in suite.reads.items()}
+    report = SuiteReport(name, {"bound": bound, **args})
     t0 = time.monotonic()
-    params, col = suite.run(suite.bound if bound is None else bound, **args)
-    runtime_ms = int((time.monotonic() - t0) * 1000)
-    return SuiteReport(name, params, col, runtime_ms)
+    report.parameters.update(suite.run(report, bound, **args) or {})
+    report.runtime_ms = int((time.monotonic() - t0) * 1000)
+    return report

@@ -200,16 +200,21 @@ def lasso_positions(w: LassoWord):
     return letters, list(range(1, len(letters))) + [len(w.spoke.letters)]
 
 
+def check_address(n: int, j: int) -> None:
+    """Refuse a carrier address (N, j) unless N, j >= 0 and N <= M_j."""
+    if j < 0 or n < 0:
+        raise InvalidAddress("address components must be nonnegative")
+    if n > pairs.m_offset(j):
+        raise InvalidAddress(f"N={n} exceeds M_{j}={pairs.m_offset(j)}")
+
+
 class KnjEncodedWord:
     """Carrier-set word: address (N, j) plus the binary block-letter lasso m."""
 
     __slots__ = ("n", "j", "m")
 
     def __init__(self, n: int, j: int, m: LassoWord):
-        if j < 0 or n < 0:
-            raise InvalidAddress("address components must be nonnegative")
-        if n > pairs.m_offset(j):
-            raise InvalidAddress(f"N={n} exceeds M_{j}={pairs.m_offset(j)}")
+        check_address(n, j)
         if not isinstance(m, LassoWord):
             raise WorkbenchError("block letters must form a lasso")
         for x in m.spoke.letters + m.cycle.letters:

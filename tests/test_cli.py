@@ -388,3 +388,81 @@ def test_console_script_wiring():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "20"
+
+
+# Every verb and every documented flag with a malformed or out-of-range value,
+# and the exit code each must end in.  Carriers K[N,j]m with 10 <= j <= 30
+# are left out: the theorem2 decider builds a run of about M_(j+1) letters
+# for them (5.6 million at j = 10, 1.4 billion at j = 14) before it answers.
+# From j = 31 on the run's length overflows at once, so K[0,40](1) is here.
+_SWEEP = [
+    (2, ["enum", "q", "--index", "abc"]),
+    (2, ["enum", "q", "--index", "-1"]),
+    (2, ["enum", "q", "--index", "9" * 5000]),
+    (2, ["enum", "m", "--j", "x"]),
+    (2, ["enum", "m", "--j", "-1"]),
+    (2, ["enum", "m", "--j", "9" * 30]),
+    (2, ["enum", "z"]),
+    (2, ["erase", "--word", "3"]),
+    (2, ["erase", "--word", "21"]),
+    (2, ["erase", "--word", "0(1"]),
+    (2, ["erase", "--word", "x"]),
+    (2, ["erase", "--lasso", "(3)"]),
+    (2, ["erase", "--lasso", "()"]),
+    (2, ["erase", "--lasso", "2(1)"]),
+    (2, ["erase", "--lasso", "K[0,0](1)"]),
+    (2, ["erase", "--word", "0", "--lasso", "(0)"]),
+    (2, ["member", "--lang", "nope", "--word", "0"]),
+    (2, ["member", "--lang", "B2", "--word", "2"]),
+    (2, ["member", "--lang", "T", "--word", "(1)"]),
+    (2, ["member", "--lang", "pi", "--word", "0", "--rtree", "{missing}"]),
+    (2, ["member", "--lang", "A4", "--word", "0", "--rtree", "{bad}"]),
+    (2, ["omega-member", "--construction", "nope", "--input", "(0)"]),
+    (2, ["omega-member", "--construction", "sigma2", "--input", "K[0,0](1)"]),
+    (2, ["omega-member", "--construction", "sigma2", "--input", "2(1)"]),
+    (2, ["omega-member", "--construction", "sigma2", "--input", "(3)"]),
+    (2, ["omega-member", "--construction", "sigma2", "--input", "(12)", "--budget", "-1"]),
+    (2, ["omega-member", "--construction", "sigma2", "--input", "(12)", "--budget", "x"]),
+    (3, ["omega-member", "--construction", "sigma2", "--input", "(1122)", "--budget", "0"]),
+    (2, ["omega-member", "--construction", "xi1-pi", "--input", "(2)"]),
+    (2, ["omega-member", "--construction", "xi1-sigma", "--input", "0"]),
+    (2, ["omega-member", "--construction", "xi2-pi", "--input", "K[0,0](1)"]),
+    (3, ["omega-member", "--construction", "theorem2", "--input", "K[0,40](1)"]),
+    (3, ["omega-member", "--construction", "theorem2", "--input", "K[0,7000](1)"]),
+    (2, ["omega-member", "--construction", "theorem2", "--input", "K[1,0](1)"]),
+    (2, ["omega-member", "--construction", "theorem2", "--input", "K[0,0](2)"]),
+    (2, ["omega-member", "--construction", "theorem2", "--input", "K[0," + "9" * 5000 + "](1)"]),
+    (2, ["omega-member", "--construction", "theorem2", "--input", "0123"]),
+    (2, ["omega-member", "--construction", "theorem2", "--input", "(0)", "--rtree", "{bad}"]),
+    (2, ["verify", "--suite", "nope"]),
+    (2, ["verify", "--suite", "knj-roundtrip", "--bound", "-1"]),
+    (2, ["verify", "--suite", "knj-roundtrip", "--bound", "x"]),
+    (2, ["verify", "--suite", "knj-roundtrip", "--bound", str(10**20)]),
+    (2, ["verify", "--suite", "a-omega-decomposition", "--bound", "0", "--seed", "x"]),
+    (0, ["verify", "--suite", "a-omega-decomposition", "--bound", "0", "--seed", "-5"]),
+    (2, ["verify", "--suite", "knj-roundtrip", "--bound", "1", "--seed", "5"]),
+    (2, ["verify", "--suite", "sigma2-main", "--bound", "0", "--budget", "-1"]),
+    (3, ["verify", "--suite", "sigma2-main", "--bound", "0", "--budget", "0"]),
+    (2, ["verify", "--suite", "knj-roundtrip", "--bound", "1", "--budget", "0"]),
+    (2, ["verify", "--suite", "a-omega-decomposition", "--bound", "0", "--rtree", "{missing}"]),
+    (2, ["verify", "--suite", "knj-roundtrip", "--bound", "1", "--out", "{dir}/no/x.json"]),
+    (2, ["verify", "--suite", "knj-roundtrip", "--bound", "1", "--out", "{dir}"]),
+    (2, ["nope"]),
+    (2, []),
+]
+
+
+@pytest.mark.parametrize(
+    "code, argv", _SWEEP, ids=[" ".join(argv)[:60] or "no verb" for _, argv in _SWEEP]
+)
+def test_malformed_values_end_in_an_exit_code_and_one_line(
+    tmp_path, capsys, monkeypatch, code, argv
+):
+    # fewer seeded draws: the sigma2-main runs check exit codes, not verdicts
+    monkeypatch.setattr(suites, "SIGMA2_SAMPLES", 100)
+    (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+    paths = {"missing": tmp_path / "missing.json", "bad": tmp_path / "bad.json", "dir": tmp_path}
+    argv = [arg.format(**paths) for arg in argv]
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    assert len(err.splitlines()) <= 1, err

@@ -54,6 +54,15 @@ def test_address_guard():
         KnjAddress(-1, 0)
 
 
+@pytest.mark.parametrize("n, j", [(-1, 0), (0, -1), (1, 0), (m_offset(1) + 1, 1)])
+def test_an_address_and_a_carrier_word_refuse_alike(n, j):
+    with pytest.raises(InvalidAddress) as by_address:
+        KnjAddress(n, j)
+    with pytest.raises(InvalidAddress) as by_word:
+        KnjEncodedWord(n, j, LassoWord("", "1"))
+    assert str(by_address.value) == str(by_word.value)
+
+
 def test_phi_rejects_non_carrier_words():
     with pytest.raises(NotInKnj):
         phi(LassoWord("", "2", size=4))

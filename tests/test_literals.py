@@ -77,3 +77,13 @@ def test_format_parse_roundtrip():
         again = parse_word_literal(text, getattr(w, "size", 4))
         assert again == w
         assert format_word(again) == text
+
+
+def test_carrier_address_errors_point_at_the_address():
+    with pytest.raises(LiteralSyntaxError, match="N=1 exceeds M_0=0") as info:
+        parse_word_literal("K[1,0](1)")
+    assert info.value.position == 1
+    # past the interpreter's digit limit for int(), not a traceback
+    with pytest.raises(LiteralSyntaxError, match="too many digits") as info:
+        parse_word_literal("K[0," + "9" * 5000 + "](1)")
+    assert info.value.position == 1

@@ -2,6 +2,7 @@
 every registered suite."""
 
 import gc
+import inspect
 import itertools
 import json
 from pathlib import Path
@@ -19,9 +20,9 @@ from omegapower import (
     run_suite,
     ts_lasso_accepts,
 )
-from omegapower import pairs, suites
+from omegapower import cli, erasing, pairs, suites
 from omegapower.erasing import a3_omega_member, e_counter_member, e_preimage_check, erase_fin
-from omegapower.suites import SuiteReport, _Collector
+from omegapower.suites import SuiteReport
 from omegapower.verdicts import Member
 from omegapower.words import FiniteWord
 
@@ -89,20 +90,18 @@ def test_version_is_written_once():
 
 
 def test_fail_verdict_requires_counterexamples():
-    col = _Collector()
-    col.case("w1", True, True)
-    col.case("w2", True, False)
-    report = SuiteReport("demo", {}, col, 1)
+    report = SuiteReport("demo", {})
+    report.case("w1", True, True)
+    report.case("w2", True, False)
     assert report.verdict == "fail"
     assert report.counterexamples == [["w2", "True", "False"]]
     assert report.cases_total == 2 and report.cases_failed == 1
 
 
 def test_inconclusive_verdict():
-    col = _Collector()
-    col.bulk_pass(3)
-    col.undecided()
-    report = SuiteReport("demo", {}, col, 1)
+    report = SuiteReport("demo", {})
+    report.bulk_pass(3)
+    report.undecided()
     assert report.verdict == "inconclusive"
     assert report.cases_total == 4 and report.cases_inconclusive == 1
 
@@ -187,7 +186,6 @@ def _erase_homomorphism_reference(bound):
     """The per-pair formulation: erase(s+t) from scratch for every pair,
     against the images of suites.erase_fin (looked up at call time, so a
     patched map reaches both this and the suite)."""
-    col = _Collector()
     words = [
         w
         for n in range(bound + 1)
@@ -195,20 +193,20 @@ def _erase_homomorphism_reference(bound):
         if all(w[:k].count(1) >= w[:k].count(2) for k in range(n + 1))
     ]
     images = {w: suites.erase_fin(w).letters for w in words}
+    report = SuiteReport("erase-homomorphism", {"bound": bound, "words": len(words)})
     misses = 0
     for s in words:
         for t in words:
             got = _erase_per_pair(s + t)
             if got != images[s] + images[t]:
                 misses += 1
-                col.fail_only(
+                report.fail_only(
                     "".join(map(str, s)) + "|" + "".join(map(str, t)),
                     images[s] + images[t],
                     got,
                 )
-    col.bulk_pass(len(words) * len(words) - misses)
-    params = {"bound": bound, "words": len(words)}
-    return SuiteReport("erase-homomorphism", params, col, 0)
+    report.bulk_pass(len(words) * len(words) - misses)
+    return report
 
 
 @pytest.mark.parametrize("bound", range(6))
@@ -385,3 +383,41 @@ def test_a_omega_decomposition_resolves_its_tree(tmp_path):
         suites._resolve_tree(str(tmp_path / "missing.json"))
     by_name = run_suite("a-omega-decomposition", bound=1, tree="diag")
     assert by_name.to_json() == run_suite("a-omega-decomposition", bound=1, tree=diag).to_json()
+
+
+def test_parameters_are_the_bound_the_reads_and_what_the_runner_derives(monkeypatch):
+    # fewer seeded draws: this test reads parameters, not verdicts
+    monkeypatch.setattr(suites, "SIGMA2_SAMPLES", 100)
+    derived = {
+        "sigma2-main": {"samples": 100},
+        "erase-homomorphism": {"words": 3},  # ε, 0 and 1
+        "a-omega-decomposition": {"tree": "full"},
+    }
+    for name, suite in SUITES.items():
+        assert run_suite(name, bound=1).parameters == {
+            "bound": 1,
+            **suite.reads,
+            **derived.get(name, {}),
+        }
+    # a value of 0 is kept, not taken for a missing one
+    assert run_suite("sigma2-main", bound=1, seed=0, budget=0).parameters == {
+        "bound": 1,
+        "seed": 0,
+        "budget": 0,
+        "samples": 100,
+    }
+    assert run_suite("a-omega-decomposition", bound=1, seed=0, tree="diag").parameters == {
+        "bound": 1,
+        "seed": 0,
+        "tree": "diag",
+    }
+    assert run_suite("mu-knj-disjoint").parameters == {"bound": SUITES["mu-knj-disjoint"].bound}
+
+
+def test_the_budget_default_is_the_deciders():
+    default = inspect.signature(a3_omega_member).parameters["budget"].default
+    assert default == erasing.DEFAULT_BUDGET == 10_000
+    assert SUITES["sigma2-main"].reads["budget"] is erasing.DEFAULT_BUDGET
+    argv = ["omega-member", "--construction", "sigma2", "--input", "(12)"]
+    args = cli._build_parser().parse_args(argv)
+    assert args.budget is erasing.DEFAULT_BUDGET
