@@ -21,7 +21,8 @@ from .words import LassoWord, canonical_parts
 
 def corpus_lassos(size: int, max_spoke: int, max_cycle: int, keep=None):
     """All distinct lassos over 0..size-1 with canonical |u| <= max_spoke
-    and |v| <= max_cycle, in (|u| + |v|, lex) order."""
+    and |v| <= max_cycle, by |u|, then |v|, then lex: (001) comes before
+    0(1).  The suite digests depend on this order."""
     letters = range(size)
     for lu in range(max_spoke + 1):
         for lv in range(1, max_cycle + 1):

@@ -202,74 +202,65 @@ def _summaries(letters, cap, lanes):
     depth cap they are numbered 0 = C, 1 = S, 1+d = E(c, d) and cap+1+d =
     E(s, d) for d = 1..cap.
 
-    Each entry of lanes is a start control and owns one lane, cap+1 bits
-    wide, of eight ints: C, S, E(c, .) and E(s, .), each once for runs with
-    no completed word yet (*0) and once for runs with one (*1).  C and S use
-    bit 0 of a lane; E(ctx, d) uses bit d.  A letter 1 shifts the E ints
-    left and the lane mask drops depths above cap; a letter 2 shifts them
+    Lemma.  A run completes an A-word exactly when it enters C: the steps
+    into C are C reading 0 (the word 0), S reading 1 (the last group of a
+    chain) and E(c, 1) reading 2 (an E-word), and these are the steps that
+    finish an A-word.
+
+    Each of the n start controls in lanes owns lanes i and n+i, cap+1 bits
+    wide, of four ints C, S, E(c, .) and E(s, .).  Lane i holds every run
+    and lane n+i the runs that completed a word: each letter steps all
+    lanes alike, then copies C from lane i into lane n+i.  C and S use bit
+    0 of a lane; E(ctx, d) uses bit d.  A letter 1 shifts the E ints left
+    and the lane mask drops depths above cap; a letter 2 shifts them
     right, and what lands on bit 0 is a closed E-factor.  Returns, per
-    lane, the mask of controls reachable after letters and the mask of
-    those reachable through a completed word."""
+    start control, the mask of controls reachable after letters and the
+    mask of those reachable through a completed word."""
+    n = len(lanes)
     w = cap + 1
-    low = ((1 << (len(lanes) * w)) - 1) // ((1 << w) - 1)  # bit 0 of every lane
+    half = n * w
+    low = ((1 << (2 * half)) - 1) // ((1 << w) - 1)  # bit 0 of every lane
     body = low * ((1 << w) - 2)  # bits 1..cap of every lane
-    c0 = s0 = e0 = f0 = 0
+    every = (1 << half) - 1  # the every-run lanes
+    c = s = e = f = 0
     for i, x in enumerate(lanes):
         if x == 0:
-            c0 |= 1 << (i * w)
+            c |= 1 << (i * w)
         elif x == 1:
-            s0 |= 1 << (i * w)
+            s |= 1 << (i * w)
         elif x <= w:
-            e0 |= 1 << (i * w + x - 1)
+            e |= 1 << (i * w + x - 1)
         else:
-            f0 |= 1 << (i * w + x - w)
-    c1 = s1 = e1 = f1 = 0
+            f |= 1 << (i * w + x - w)
     for x in letters:
         if x == 0:
-            # C reads the word 0 or opens a chain group; S and E stay
-            s0 |= c0
-            s1 |= c1
-            c0, c1 = 0, c0 | c1
+            # C stays (the word 0) or opens a chain group; S and E stay
+            s |= c
         elif x == 1:
             # C opens E(c, 1) or closes the first group with a bare 1; S
             # closes a group (continuing or finishing the chain) or opens
             # E(s, 1); E goes one deeper
-            e0 = (e0 << 1 & body) | c0 << 1
-            e1 = (e1 << 1 & body) | c1 << 1
-            f0 = (f0 << 1 & body) | s0 << 1
-            f1 = (f1 << 1 & body) | s1 << 1
-            c0, c1, s0, s1 = 0, s0 | s1, c0 | s0, c1 | s1
+            e = (e << 1 & body) | c << 1
+            f = (f << 1 & body) | s << 1
+            c, s = s, c | s
         else:
             # C and S die; E goes one shallower, and E(c, 1) closes into C
             # (a finished A-word) or S, E(s, 1) into S
-            e0 >>= 1
-            e1 >>= 1
-            f0 >>= 1
-            f1 >>= 1
-            c0, c1 = 0, (e0 | e1) & low
-            s0, s1 = (e0 | f0) & low, (e1 | f1) & low
-            e0 &= body
-            e1 &= body
-            f0 &= body
-            f1 &= body
+            e >>= 1
+            f >>= 1
+            c, s = e & low, (e | f) & low
+            e &= body
+            f &= body
+        c |= (c & every) << half
     mask = (1 << w) - 1
+    e |= s  # S on bit 0 and E(c, d) on bit d read as controls 1 and 1+d
     rows = []
-    for i in range(len(lanes)):
-        at = i * w
-        done = (
-            (c1 >> at & 1)
-            | (s1 >> at & 1) << 1
-            | (e1 >> at & mask) << 1
-            | (f1 >> at & mask) << w
-        )
-        reach = (
-            done
-            | (c0 >> at & 1)
-            | (s0 >> at & 1) << 1
-            | (e0 >> at & mask) << 1
-            | (f0 >> at & mask) << w
-        )
-        rows.append((reach, done))
+    for at in range(0, half, w):
+        top = at + half
+        rows.append((
+            (c >> at & 1) | (e >> at & mask) << 1 | (f >> at & mask) << w,
+            (c >> top & 1) | (e >> top & mask) << 1 | (f >> top & mask) << w,
+        ))
     return rows
 
 

@@ -21,14 +21,10 @@ class FiniteWord:
     __slots__ = ("letters", "size")
 
     def __init__(self, letters=(), size=None):
-        # exact-size tuples, and a tuple of ints is kept as it is:
-        # tuple(genexpr) grows its result by resizing
-        if isinstance(letters, str):
-            letters = tuple([int(c) for c in letters])
-        else:
-            letters = tuple(letters)
-            if not all(type(x) is int for x in letters):
-                letters = tuple([int(x) for x in letters])
+        # a tuple of ints is kept as it is; a str gives its characters
+        letters = tuple(letters)
+        if not all(type(x) is int for x in letters):
+            letters = _int_letters(letters)
         if size is None:
             size = max(2, max(letters) + 1) if letters else 2
         if not 2 <= size <= 4:
@@ -83,6 +79,18 @@ class FiniteWord:
         return self.letters.count(letter)
 
 
+def _int_letters(letters) -> tuple:
+    """int() of each letter, as an exact-size tuple (tuple(genexpr) grows
+    its result by resizing); a letter int() refuses is a WorkbenchError."""
+    out = []
+    for x in letters:
+        try:
+            out.append(int(x))
+        except (TypeError, ValueError):
+            raise WorkbenchError(f"not a letter: {x!r}") from None
+    return tuple(out)
+
+
 def _primitive(cycle: tuple) -> tuple:
     n = len(cycle)
     for d in range(1, n + 1):
@@ -113,11 +121,7 @@ def canonical_parts(spoke, cycle):
 
 
 def _letters(x):
-    if isinstance(x, FiniteWord):
-        return x.letters
-    if isinstance(x, str):
-        return tuple([int(c) for c in x])
-    return tuple([int(v) for v in x])
+    return x.letters if isinstance(x, FiniteWord) else _int_letters(x)
 
 
 class LassoWord:
@@ -163,6 +167,8 @@ class LassoWord:
         return v[(i - len(u)) % len(v)]
 
     def prefix(self, n: int) -> FiniteWord:
+        if n < 0:
+            raise WorkbenchError("prefix length must be nonnegative")
         u, v = self.spoke.letters, self.cycle.letters
         if n <= len(u):
             return FiniteWord._trusted(u[:n], self.size)
@@ -236,6 +242,8 @@ class KnjEncodedWord:
         return pairs.m_offset(self.j + i + 1)
 
     def prefix(self, n: int) -> FiniteWord:
+        if n < 0:
+            raise WorkbenchError("prefix length must be nonnegative")
         out = []
 
         def ext(val, cnt):
@@ -272,8 +280,6 @@ class KnjEncodedWord:
 
 
 def prefix(w, n: int) -> FiniteWord:
-    if n < 0:
-        raise WorkbenchError("prefix length must be nonnegative")
     if isinstance(w, (LassoWord, KnjEncodedWord)):
         return w.prefix(n)
     raise TypeError(f"not an infinite word: {w!r}")

@@ -393,6 +393,14 @@ def test_lane_sweep_matches_the_set_machine(cap):
                 assert rows[x] == (reach, done), (letters, x)
 
 
+def test_a_step_completes_a_word_exactly_when_it_enters_c():
+    # the lemma behind _summaries' completed lanes, which copy C alone
+    for i in range(2 * 5 + 2):
+        for letter in (0, 1, 2):
+            for nxt, completed in _machine_steps(_control(i, 5), letter):
+                assert completed == (nxt == ("C",)), (_control(i, 5), letter, nxt)
+
+
 def test_warshall_closes_long_cycles():
     # no T-lasso is known whose verdict needs a boundary path of more than
     # two steps, so the closure is pinned on graphs of its own

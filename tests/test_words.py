@@ -57,6 +57,17 @@ def test_finite_word_rejects_out_of_range_letters():
         FiniteWord((0,), size=5)
 
 
+def test_word_constructors_refuse_what_is_not_a_letter():
+    for make in (
+        lambda: FiniteWord("2a"),
+        lambda: FiniteWord("ε"),
+        lambda: FiniteWord([None]),
+        lambda: LassoWord("2a", "1"),
+    ):
+        with pytest.raises(WorkbenchError, match="not a letter"):
+            make()
+
+
 def test_finite_word_immutable():
     w = word("01")
     with pytest.raises(AttributeError):
@@ -146,6 +157,10 @@ def test_prefix_needs_an_infinite_word_and_a_length():
     w = LassoWord("1", "0")
     with pytest.raises(WorkbenchError):
         prefix(w, -1)
+    carrier = KnjEncodedWord(0, 0, LassoWord("", "1"))
+    for w in (LassoWord((1, 2), (0,), size=3), carrier):
+        with pytest.raises(WorkbenchError, match="nonnegative"):
+            w.prefix(-1)
     with pytest.raises(TypeError):
         prefix(word("01"), 1)
 
