@@ -6,8 +6,9 @@ presentations and transition-system acceptance (rtree), the block-coded
 languages with their omega-power deciders (construction), the 3-letter
 witness language and erasing map (erasing), omega-power automata for the
 low-level witnesses (automata), the accepting-cycle search of the second
-routes (lasso), plus literals, corpora, cross-check oracles, verification
-suites, and a CLI.
+routes (lasso) and the boundary-summary closure of the first (recurrence),
+plus literals, corpora, cross-check oracles, verification suites, and a
+CLI.
 
 This namespace exports the paper's objects and what the deciders, suites,
 CLI and perfbench call; types and helpers used inside one module are read

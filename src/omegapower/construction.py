@@ -38,10 +38,11 @@ word repeats from |u| + k.
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import pairs
-from .erasing import _recurs
 from .errors import InMuOmega, NotInP, WorkbenchError
+from .recurrence import close, recurs
 from .rtree import RTreePresentation, r_contains
 from .verdicts import Member
 from .words import FiniteWord, KnjEncodedWord, LassoWord
@@ -258,6 +259,40 @@ def is_suitable(t, s_len: int, j: int) -> bool:
 
 # ---------------------------------------------------------------- carrier omega
 
+# summaries _cycle_summary keeps: the theorem2 gate meets 22 cycles per tree
+_SUMMARIES = 128
+
+
+@lru_cache(maxsize=_SUMMARIES)
+def _cycle_summary(codes, v):
+    """(succ, reach, good) for the tree compiled as codes and the block
+    cycle v.  succ[a][x] is the mask of states that state x steps to on
+    block letter a under either guessed bit; reach and good are
+    recurrence.close of the one-period summaries of v, per tree state the
+    states it reaches and those it reaches through an accepted pair
+    (guessed bit 1 into a live state).
+
+    One sweep of v runs one lane of n bits per start state: low has bit 0
+    of every lane, so (reach >> x & low) * succ[a][x] puts x's successors
+    into each lane that holds x."""
+    table, live, _ = codes
+    n = len(table)
+    succ = tuple(tuple(1 << row[a] | 1 << row[2 + a] for row in table) for a in (0, 1))
+    hits = tuple([1 << row[2 + a] & live for row in table] for a in (0, 1))
+    low = sum(1 << x * n for x in range(n))
+    reach, hit = sum(1 << x * (n + 1) for x in range(n)), 0
+    for a in v:
+        s, h = succ[a], hits[a]
+        reach2 = hit2 = 0
+        for x in range(n):
+            rx, hx = reach >> x & low, hit >> x & low
+            reach2 |= rx * s[x]
+            hit2 |= hx * s[x] | rx * h[x]
+        reach, hit = reach2, hit2
+    lane = (1 << n) - 1
+    return (succ, *close([(reach >> x * n & lane, hit >> x * n & lane) for x in range(n)]))
+
+
 def pi_omega_knj_member(w: KnjEncodedWord, r: RTreePresentation) -> bool:
     """Is the carrier word an infinite product of pi-words?
 
@@ -267,48 +302,30 @@ def pi_omega_knj_member(w: KnjEncodedWord, r: RTreePresentation) -> bool:
     tree, started at the pair of index N, can read the block letters m with
     guessed bits so that accepted pairs are hit infinitely often.
 
-    Decided on boundary summaries over tree states, as a3_omega_member is:
-    every cycle of the (tree state, block phase) product passes the first
-    cycle phase of m, so one sweep of the cycle, one bit-lane per tree
-    state, gives for each state the states it reaches and those it reaches
-    through an accepted pair (guessed bit 1 into a live state), read from
-    one bitmask table per block letter; erasing._recurs closes the reach
-    rows and answers YES iff a state reachable after the spoke has an
-    accepting summary back into its own closure.  Works on the block
-    letters alone; letters of w are never materialized and
-    ts_lasso_accepts is never consulted (the two stay independent).  The
-    tree is read only through r.codes, for the lanes, and
-    r.state_of_index, for the start state."""
+    Decided on boundary summaries over tree states, as a3_omega_member is.
+    Lemma: every cycle of the (tree state, block phase) product passes the
+    first cycle phase of m, and a run meets the spoke of m only once, so a
+    run with infinitely many hits exists iff some state reachable at the
+    end of the spoke is good, that is, lies on a loop of whole periods
+    through an accepting summary.  The set of good states and the closed
+    reach rows depend on the tree and the cycle v of m alone:
+    _cycle_summary builds them once per (r.codes, v) and keeps the last
+    _SUMMARIES of them.  Each call then reads N afresh, walks the spoke of
+    m over successor masks from r.state_of_index(N), and asks
+    recurrence.recurs.  Works on the block letters alone; letters of w are
+    never materialized and ts_lasso_accepts is never consulted (the two
+    stay independent).  The tree is read only through r.codes and
+    r.state_of_index."""
     if not isinstance(w, KnjEncodedWord):
         raise TypeError("pi_omega_knj_member expects a carrier word")
-    codes, live, _ = r.codes
-    n = len(codes)
-    # succ[a][x]: states reached from state x on block letter a under either
-    # guessed bit; hits[a][x]: those reached on an accepted pair
-    succ = tuple([1 << row[a] | 1 << row[2 + a] for row in codes] for a in (0, 1))
-    hits = tuple([1 << row[2 + a] & live for row in codes] for a in (0, 1))
-
-    def sweep(letters, reach, hit, low):
-        # one lane of n bits per start state; low has bit 0 of every lane, so
-        # (reach >> x & low) * succ[a][x] puts x's successors into each lane
-        # that holds x
-        for a in letters:
-            s, h = succ[a], hits[a]
-            reach2 = hit2 = 0
-            for x in range(n):
-                rx, hx = reach >> x & low, hit >> x & low
-                reach2 |= rx * s[x]
-                hit2 |= hx * s[x] | rx * h[x]
-            reach, hit = reach2, hit2
-        return reach, hit
-
-    u, v = w.m.spoke.letters, w.m.cycle.letters
-    start, _ = sweep(u, 1 << r.state_of_index(w.n), 0, 1)
-    low = sum(1 << x * n for x in range(n))
-    reach, hit = sweep(v, sum(1 << x * (n + 1) for x in range(n)), 0, low)
-    lane = (1 << n) - 1
-    rows = [(reach >> x * n & lane, hit >> x * n & lane) for x in range(n)]
-    return _recurs(start, rows)
+    succ, reach, good = _cycle_summary(r.codes, w.m.cycle.letters)
+    states = 1 << r.state_of_index(w.n)
+    for a in w.m.spoke.letters:
+        step, at, states = succ[a], states, 0
+        for x, targets in enumerate(step):
+            if at >> x & 1:
+                states |= targets
+    return recurs(reach, good, states)
 
 
 def a_omega_member(w, r: RTreePresentation, budget: int = None) -> Member:

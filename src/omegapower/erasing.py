@@ -24,6 +24,7 @@ two never consult each other.
 """
 
 from .errors import NotInT, WorkbenchError
+from .recurrence import close, recurs
 from .verdicts import Member
 from .words import FiniteWord, LassoWord, canonical_parts
 
@@ -264,38 +265,6 @@ def _summaries(letters, cap, lanes):
     return rows
 
 
-def _warshall(rows):
-    """Transitive closure of a graph given as bitmask rows: bit j of rows[i]
-    is an edge i -> j (Warshall, JACM 1962).  Closes rows in place."""
-    for k, row in enumerate(rows):
-        bit = 1 << k
-        for i, r in enumerate(rows):
-            if r & bit:
-                rows[i] = r | row
-    return rows
-
-
-def _recurs(start, rows):
-    """Whether a run from the nodes in the bitmask start passes marked edges
-    infinitely often, given per node i its one-period summary rows[i] =
-    (reach, marked): the nodes one period away, and those reached through
-    a marked edge.  Warshall closes the reach rows; a run exists iff a node
-    reachable from start has a marked summary back into its own strongly
-    connected part."""
-    reach = _warshall([r for r, _ in rows])
-
-    def star(mask):
-        out = mask
-        while mask:
-            y = (mask & -mask).bit_length() - 1
-            out |= reach[y]
-            mask &= mask - 1
-        return out
-
-    seen = star(start)
-    return any(seen >> x & 1 and star(marked) >> x & 1 for x, (_, marked) in enumerate(rows))
-
-
 def _accepts(u, v, cap):
     """Whether the factor machine, capped at depth cap, has a run on u(v)
     that completes infinitely many words.
@@ -303,10 +272,11 @@ def _accepts(u, v, cap):
     Every cycle of the lasso product passes the first cycle position, so
     the search runs on the 2 cap + 2 controls there: one sweep of v gives,
     for each, the controls it reaches and those it reaches through a
-    completed word, and _recurs decides from the controls reachable from
-    the end of u."""
+    completed word; recurrence.close closes those rows, and
+    recurrence.recurs decides from the controls reachable from the end of
+    u."""
     (start, _), = _summaries(u, cap, (0,))
-    return _recurs(start, _summaries(v, cap, range(2 * cap + 2)))
+    return recurs(*close(_summaries(v, cap, range(2 * cap + 2))), start)
 
 
 def _e_depth(u, v) -> int:

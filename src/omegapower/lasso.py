@@ -1,11 +1,15 @@
 """The accepting-cycle search of the route-B lasso deciders.
 
-automata.lasso_accepts (a Buchi product over lasso positions),
-rtree.ts_lasso_witness (a tree product under guessed bits) and
-oracles.omega_factor_evidence (the factor-cut graph of a lasso) each ask if
-a cycle through a hit edge is reachable in a finite graph.  It is iff some
-reachable strongly connected component holds a hit edge, which one pass of
-Tarjan's algorithm (SIAM J. Comput. 1972) decides in linear time.
+automata.lasso_accepts (a Buchi product over lasso positions, once per
+call), rtree.ts_lasso_witness (a tree product under guessed bits, once per
+tree, cycle and entry state, answers kept across calls) and
+oracles.omega_factor_evidence (the factor-cut graph of a lasso, once per
+call) each ask if a cycle through a hit edge is reachable in a finite
+graph.  It is iff some reachable strongly connected component holds a hit
+edge, which one pass of Tarjan's algorithm (SIAM J. Comput. 1972) decides
+in linear time.  The route-A lasso deciders a3_omega_member and
+pi_omega_knj_member close boundary summaries in recurrence.py instead; no
+route-A decider reaches this search (tests/test_lasso.py).
 """
 
 

@@ -1,10 +1,12 @@
 """Boundary-closure reference for transition-system lasso acceptance.
 
-Kept with the tests: the shipped deciders are the product that
-rtree.ts_lasso_witness hands to the accepting-cycle search
-lasso.accepting_lasso, and the bit-lane summaries of
-construction.pi_omega_knj_member; this is a third, set-based way to the
-same answer that neither of them shares code with.
+Kept with the tests: the shipped deciders are rtree.ts_lasso_witness, which
+hands the cycle-only product of each (tree, cycle, entry state) to the
+accepting-cycle search lasso.accepting_lasso, and
+construction.pi_omega_knj_member, whose bit-lane summaries per (tree, cycle)
+recurrence.close closes; both keep those per-cycle answers across calls.
+This is a third, set-based way to the same answer that shares no code with
+either and keeps nothing between calls.
 """
 
 from omegapower import pairs

@@ -28,7 +28,8 @@ from omegapower import (
     t_lasso,
     t_member,
 )
-from omegapower.erasing import _accepts, _e_depth, _summaries, _warshall
+from omegapower.erasing import _accepts, _e_depth, _summaries
+from omegapower.recurrence import _warshall
 
 from erase_reference import erase_lasso_within, stabilized_erase_prefix
 

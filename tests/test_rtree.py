@@ -1,7 +1,12 @@
 """R-tree presentations and the coded transition system: membership,
 final pairs, lasso acceptance with replayable witnesses."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +29,8 @@ from omegapower import (
     ts_lasso_accepts,
     ts_replay,
 )
-from omegapower import pairs
+from omegapower import construction, pairs, rtree
+from omegapower.lasso import accepting_lasso
 from omegapower.oracles import enumerate_pairs
 from omegapower.rtree import RTreePresentation, tree_from_json, ts_lasso_witness
 
@@ -91,6 +97,15 @@ def test_witness_replays():
     assert ts_lasso_witness(r, 0, lasso("1(0)")) is None
 
 
+def test_malformed_witness_does_not_replay():
+    r, w = full_tree(), LassoWord((), (1,), size=2)
+    assert ts_replay(r, 0, w, {"start_index": 0, "prefix": [], "loop": [1]})
+    for prefix, loop in (([2], [1]), ([], [2]), ([], ["1"]), ([], [True]), ([None], [1])):
+        assert not ts_replay(r, 0, w, {"start_index": 0, "prefix": prefix, "loop": loop})
+    for witness in ({}, {"start_index": 0, "prefix": 5, "loop": [1]}, [0, 1], None):
+        assert not ts_replay(r, 0, w, witness)
+
+
 def test_lasso_acceptance_needs_a_binary_input():
     with pytest.raises(WorkbenchError, match="binary"):
         ts_lasso_accepts(full_tree(), 0, LassoWord("2", "1", size=3))
@@ -131,10 +146,10 @@ def test_every_theorem2_gate_witness_replays():
 
 
 @st.composite
-def tree_queries(draw):
-    """A prefix-closed tree DFA with 2-4 states listed in a random order
-    (the first nlive of s0..s{k-1} live, dead states stepping only into
-    dead ones), and a carrier K[N,j]m with j <= 2, |u| <= 5, |v| <= 5."""
+def random_trees(draw):
+    """A prefix-closed tree DFA named "random" with 2-4 states listed in a
+    random order (the first nlive of s0..s{k-1} live, dead states stepping
+    only into dead ones)."""
     k = draw(st.integers(2, 4))
     nlive = draw(st.integers(1, k))
     names = tuple(f"s{i}" for i in range(k))
@@ -145,9 +160,15 @@ def tree_queries(draw):
         }
         for i, q in enumerate(names)
     }
-    r = RTreePresentation(
+    return RTreePresentation(
         "random", tuple(draw(st.permutations(names))), "s0", frozenset(names[:nlive]), delta
     ).validate()
+
+
+@st.composite
+def tree_queries(draw):
+    """A random tree and a carrier K[N,j]m with j <= 2, |u| <= 5, |v| <= 5."""
+    r = draw(random_trees())
     j = draw(st.integers(0, 2))
     n = draw(st.integers(0, pairs.m_offset(j)))
     u = draw(st.lists(st.integers(0, 1), max_size=5))
@@ -183,6 +204,121 @@ def test_compiled_tree_agrees_with_step_and_run_pair(query):
     assert r.states[initial] == r.initial
     for n in [*range(pairs.m_offset(3) + 1), pairs.m_offset(6) + 77]:
         assert r.states[r.state_of_index(n)] == r.run_pair(q_of_index(n))
+
+
+def _clear_carrier_memos():
+    construction._cycle_summary.cache_clear()
+    rtree._cycle_lassos.cache_clear()
+
+
+def test_carrier_memos_tell_apart_trees_with_one_name():
+    # both carrier routes keep one summary per (compiled tree, cycle); a
+    # tree file picks its own name, so two trees named "t" must not share
+    full = dataclasses.replace(full_tree(), name="t")
+    diag = dataclasses.replace(diag_tree(), name="t")
+    w = KnjEncodedWord(0, 0, lasso("1(0)"))
+    for order in (((full, True), (diag, False)), ((diag, False), (full, True))):
+        _clear_carrier_memos()
+        for r, want in order:
+            assert matrix_lasso_accepts(r, w.n, w.m) is want
+            assert pi_omega_knj_member(w, r) is want
+            assert ts_lasso_accepts(r, w.n, w.m) is want
+
+
+@st.composite
+def shared_cycle_queries(draw):
+    """Two random trees and 2-6 carriers K[N,2]m whose lassos m share one
+    cycle v (a spoke never ends in v's last letter, so canonical form
+    keeps v) and differ in spoke and start index."""
+    trees = (draw(random_trees()), draw(random_trees()))
+    v = draw(st.lists(st.integers(0, 1), min_size=1, max_size=5))
+    carriers = []
+    for _ in range(draw(st.integers(2, 6))):
+        u = draw(st.lists(st.integers(0, 1), max_size=5))
+        if u and u[-1] == v[-1]:
+            u.append(1 - v[-1])
+        n = draw(st.integers(0, pairs.m_offset(2)))
+        carriers.append(KnjEncodedWord(n, 2, LassoWord(u, v, size=2)))
+    return trees, carriers
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(shared_cycle_queries())
+def test_carriers_sharing_a_cycle_agree_with_the_matrix_oracle(query):
+    trees, carriers = query
+    assert len({w.m.cycle.letters for w in carriers}) == 1
+    _clear_carrier_memos()
+    for w in carriers:
+        for r in trees:
+            want = matrix_lasso_accepts(r, w.n, w.m)
+            assert pi_omega_knj_member(w, r) is want
+            witness = ts_lasso_witness(r, w.n, w.m)
+            assert (witness is not None) is want
+            if witness is not None:
+                assert ts_replay(r, w.n, w.m, witness)
+
+
+def _wide_tree(n):
+    """States s0..s{n-1} and a dead sink beyond s{n-1}: on block letter 1
+    guessed bit b moves s_i to s_{2i+1+b}, on letter 0 it keeps s_i (b = 0)
+    or moves it to s_{i+1} (b = 1).  A guessed 1 always climbs, so no
+    accepting cycle exists, and the spoke 1^k reaches 2^k entry states."""
+    names = [f"s{i}" for i in range(n)] + ["dead"]
+    at = lambda i: names[min(i, n)]
+    delta = {
+        names[i]: {"00": at(i), "10": at(i + 1), "01": at(2 * i + 1), "11": at(2 * i + 2)}
+        for i in range(n)
+    }
+    delta["dead"] = {key: "dead" for key in ("00", "01", "10", "11")}
+    return RTreePresentation(
+        "wide", tuple(names), "s0", frozenset(names[:n]), delta
+    ).validate()
+
+
+def test_cold_query_explores_each_product_node_once(monkeypatch):
+    # 32 entry states after the spoke 11111, each with a chain up to the
+    # sink in the cycle-only product; passes that find no lasso share what
+    # they explored, so the 65 nodes are explored once, not once per entry
+    r, w = _wide_tree(64), lasso("11111(0)")
+    explored = []
+
+    def counting(root, step):
+        return accepting_lasso(root, lambda node: explored.append(node) or step(node))
+
+    _clear_carrier_memos()
+    monkeypatch.setattr(rtree, "accepting_lasso", counting)
+    assert not matrix_lasso_accepts(r, 0, w)
+    assert ts_lasso_witness(r, 0, w) is None
+    assert len(set(explored)) == len(explored) <= len(r.states)
+
+
+SUMMARY_COUNT = """
+from omegapower import construction, rtree
+from omegapower.suites import run_suite
+
+construction._cycle_summary.cache_clear()
+rtree._cycle_lassos.cache_clear()
+run_suite("theorem2-key-equality", bound=4)
+for memo in (construction._cycle_summary, rtree._cycle_lassos):
+    info = memo.cache_info()
+    print(info.misses, info.hits)
+"""
+
+
+def test_theorem2_gate_builds_one_summary_per_tree_and_cycle():
+    # bound 4: 22 cycles of m on each of the two trees, 19,008 cases
+    src = Path(__file__).resolve().parent.parent / "src"
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", SUMMARY_COUNT],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["44 18964", "44 18964"], hash_seed
 
 
 def test_prefix_closure_of_trees():
