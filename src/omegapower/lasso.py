@@ -64,7 +64,9 @@ def accepting_lasso(root, step):
                 while stack[-1] != node:
                     done.add(stack.pop())
                 done.add(stack.pop())
-            elif path:
+            else:
+                # the root keeps low 0 == index 0, so it pops as a component
+                # root; every other node pops with its parent on the path
                 src = path[-1][0]
                 target, label, hit = entry
                 if hit:

@@ -50,7 +50,9 @@ EXAMPLE_CAP = 10
 
 class SuiteReport:
     """One suite run: run_suite records its parameters and time, and the
-    runner adds its cases."""
+    runner adds its cases, one at a time with case and undecided or many at
+    once with tally.  Every failed case reaches the counterexamples through
+    tally."""
 
     def __init__(self, suite, parameters):
         self.suite = suite
@@ -63,28 +65,26 @@ class SuiteReport:
         self.version = VERSION
 
     def case(self, literal, expected, got, prefix=None):
+        """One case.  A failed one is labelled "prefix literal" when a prefix
+        is given, formatted only on failure, so passing cases never build
+        it."""
         if expected == got:
             self.cases_total += 1
         else:
-            self.fail_only(literal, expected, got, prefix)
+            label = literal if prefix is None else f"{prefix} {literal}"
+            self.tally(1, 1, [(label, expected, got)])
 
-    def fail_only(self, literal, expected, got, prefix=None):
-        """A failed case; bulk suites add their passes with bulk_pass.  The
-        label is "prefix literal" when a prefix is given, formatted only
-        here, so passing cases never build it."""
-        self.cases_total += 1
-        self.cases_failed += 1
-        if len(self.counterexamples) < EXAMPLE_CAP:
-            label = str(literal) if prefix is None else f"{prefix} {literal}"
-            self.counterexamples.append([label, str(expected), str(got)])
-
-    def bulk_pass(self, count):
-        self.cases_total += count
-
-    def bulk_fail(self, count):
-        """Failed cases past the ones a bulk suite reports with fail_only."""
-        self.cases_total += count
-        self.cases_failed += count
+    def tally(self, total, failed, failures):
+        """total cases at once, failed of them failing.  failures yields the
+        failing cases as (label, expected, got) in report order, each part
+        reported by its str(); it is read only while the counterexample cap
+        has room and never past its failed-th case, so a passing run never
+        evaluates it."""
+        self.cases_total += total
+        self.cases_failed += failed
+        room = min(failed, EXAMPLE_CAP - len(self.counterexamples))
+        for label, expected, got in itertools.islice(failures, room):
+            self.counterexamples.append([str(label), str(expected), str(got)])
 
     def undecided(self):
         self.cases_total += 1
@@ -176,10 +176,10 @@ def _merged(*corpora):
 # ------------------------------------------------------------- suites
 
 def _suite_pair_enum_roundtrip(report, bound):
-    for n in range(bound):
-        if pairs.index_of_q(pairs.q_of_index(n)) != n:
-            report.fail_only(f"q_{n}", n, pairs.index_of_q(pairs.q_of_index(n)))
-    report.bulk_pass(bound - report.cases_failed)
+    roundtrips = lambda: map(pairs.index_of_q, map(pairs.q_of_index, range(bound)))
+    misses = sum(map(operator.ne, roundtrips(), range(bound)))
+    failures = ((f"q_{n}", n, got) for n, got in enumerate(roundtrips()) if got != n)
+    report.tally(bound, misses, failures)
     for n, p in enumerate(enumerate_pairs(3)):
         report.case(f"order_{n}", str(p), str(pairs.q_of_index(n)))
     for j in range(7):
@@ -310,14 +310,11 @@ def _suite_erase_homomorphism(report, bound):
             # only a node's first lanes can be among the first failures
             lanes = itertools.islice(_failing_lanes(diff, val, pos, width), EXAMPLE_CAP)
             bad = sorted(bad + [(k, i, got) for k, got in lanes])[:EXAMPLE_CAP]
-    for k, i, got in bad:
-        report.fail_only(
-            "".join(map(str, words[k])) + "|" + "".join(map(str, words[i])),
-            images[k] + images[i],
-            got,
-        )
-    report.bulk_fail(misses - len(bad))
-    report.bulk_pass(len(words) ** 2 - misses)
+    failures = (
+        ("".join(map(str, words[k] + ("|",) + words[i])), images[k] + images[i], got)
+        for k, i, got in bad
+    )
+    report.tally(len(words) ** 2, misses, failures)
     return {"words": len(words)}
 
 
@@ -325,21 +322,14 @@ def _suite_e_dual(report, bound):
     """Both characterizations of E on every word over {0,1,2} up to the
     bound, one call to each per word; only a failing run walks the words
     again, to report its first counterexamples."""
-    misses = sum(
-        map(
-            operator.ne,
-            map(e_def_member, _words3_up_to(bound)),
-            map(e_counter_member, _words3_up_to(bound)),
-        )
+    words = lambda: _words3_up_to(bound)
+    misses = sum(map(operator.ne, map(e_def_member, words()), map(e_counter_member, words())))
+    failures = (
+        ("".join(map(str, w)) or "ε", want, got)
+        for w in words()
+        if (want := e_def_member(w)) != (got := e_counter_member(w))
     )
-    for w in _words3_up_to(bound):  # a passing run stops at once
-        if report.cases_failed == min(misses, EXAMPLE_CAP):
-            break
-        want, got = e_def_member(w), e_counter_member(w)
-        if want != got:
-            report.fail_only("".join(map(str, w)) or "ε", want, got)
-    report.bulk_fail(misses - report.cases_failed)
-    report.bulk_pass((3 ** (bound + 1) - 1) // 2 - misses)
+    report.tally((3 ** (bound + 1) - 1) // 2, misses, failures)
 
 
 SIGMA2_SAMPLES = 10_000

@@ -13,6 +13,8 @@ m_i 2^M 3 2^M.  Such words are never ultimately periodic (the runs grow),
 which is why they get their own representation.
 """
 
+import operator
+
 from .errors import InvalidAddress, WorkbenchError
 from . import pairs
 
@@ -22,8 +24,7 @@ class FiniteWord:
 
     def __init__(self, letters=(), size=None):
         # a tuple of ints is kept as it is; a str gives its characters
-        letters = tuple(letters)
-        if not all(type(x) is int for x in letters):
+        if type(letters) is not tuple or not all(type(x) is int for x in letters):
             letters = _int_letters(letters)
         if size is None:
             size = max(2, max(letters) + 1) if letters else 2
@@ -80,12 +81,18 @@ class FiniteWord:
 
 
 def _int_letters(letters) -> tuple:
-    """int() of each letter, as an exact-size tuple (tuple(genexpr) grows
-    its result by resizing); a letter int() refuses is a WorkbenchError."""
+    """Each letter as an int, in an exact-size tuple (tuple(genexpr) grows
+    its result by resizing): a str letter by int(), any other by
+    operator.index, so 1.7 is refused, not cut to 1.  A letter that neither
+    takes, or an argument that is not iterable, is a WorkbenchError."""
+    try:
+        letters = iter(letters)
+    except TypeError:
+        raise WorkbenchError(f"not a letter sequence: {letters!r}") from None
     out = []
     for x in letters:
         try:
-            out.append(int(x))
+            out.append(int(x) if isinstance(x, str) else operator.index(x))
         except (TypeError, ValueError):
             raise WorkbenchError(f"not a letter: {x!r}") from None
     return tuple(out)

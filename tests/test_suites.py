@@ -100,10 +100,41 @@ def test_fail_verdict_requires_counterexamples():
 
 def test_inconclusive_verdict():
     report = SuiteReport("demo", {})
-    report.bulk_pass(3)
+    report.tally(3, 0, ())
     report.undecided()
     assert report.verdict == "inconclusive"
     assert report.cases_total == 4 and report.cases_inconclusive == 1
+
+
+def test_tally_reads_failures_only_while_the_cap_has_room():
+    def unread():
+        raise AssertionError("a passing tally read its failures")
+        yield
+
+    read = []
+
+    def failures(count):
+        for n in range(count):
+            read.append(n)
+            yield f"x{n}", n, -n
+
+    report = SuiteReport("demo", {})
+    report.tally(5, 0, unread())
+    report.case("w1", 1, 2)  # a failed case takes one place of the cap
+    report.case("w2", 3, 3, "p")
+    report.tally(40, 30, failures(30))
+    assert report.cases_total == 47 and report.cases_failed == 31
+    cap = suites.EXAMPLE_CAP
+    assert read == list(range(cap - 1))
+    assert report.counterexamples == [["w1", "1", "2"]] + [
+        [f"x{n}", str(n), str(-n)] for n in range(cap - 1)
+    ]
+    # a full cap reads nothing more, and the counts still add up
+    report.tally(4, 2, unread())
+    report.case("w3", 0, 1, "p")
+    assert report.cases_total == 52 and report.cases_failed == 34
+    assert len(report.counterexamples) == cap
+    assert report.verdict == "fail"
 
 
 def test_json_report_is_deterministic():
@@ -194,18 +225,10 @@ def _erase_homomorphism_reference(bound):
     ]
     images = {w: suites.erase_fin(w).letters for w in words}
     report = SuiteReport("erase-homomorphism", {"bound": bound, "words": len(words)})
-    misses = 0
     for s in words:
         for t in words:
-            got = _erase_per_pair(s + t)
-            if got != images[s] + images[t]:
-                misses += 1
-                report.fail_only(
-                    "".join(map(str, s)) + "|" + "".join(map(str, t)),
-                    images[s] + images[t],
-                    got,
-                )
-    report.bulk_pass(len(words) * len(words) - misses)
+            label = "".join(map(str, s)) + "|" + "".join(map(str, t))
+            report.case(label, images[s] + images[t], _erase_per_pair(s + t))
     return report
 
 
@@ -272,6 +295,69 @@ def test_pair_enum_roundtrip_reports_a_faulty_index(monkeypatch):
     # successors reads the same index, so one step case fails with it
     assert report.counterexamples == [["q_3", "3", "4"], ["step_0_0_4", "True", "False"]]
     assert report.cases_failed == 2
+
+
+def _pair_enum_reference(bound):
+    """The suite case by case, each roundtrip index one case, with
+    suites.pairs looked up at call time (a patched index reaches both)."""
+    report = SuiteReport("pair-enum-roundtrip", {"bound": bound})
+    for n in range(bound):
+        report.case(f"q_{n}", n, pairs.index_of_q(pairs.q_of_index(n)))
+    for n, p in enumerate(suites.enumerate_pairs(3)):
+        report.case(f"order_{n}", str(p), str(pairs.q_of_index(n)))
+    for j in range(7):
+        expect = pairs.QPair((1,) * j, (1,) * j)
+        report.case(f"offset_{j}", str(expect), str(pairs.q_of_index(pairs.m_offset(j))))
+    for n in range(min(bound, 200)):
+        q = pairs.q_of_index(n)
+        for m in (0, 1):
+            for p in sorted(pairs.successors(n, m)):
+                ext = pairs.q_of_index(p)
+                ok = (
+                    ext.alpha == q.alpha + (m,)
+                    and ext.beta[: len(q)] == q.beta
+                    and len(ext) == len(q) + 1
+                )
+                report.case(f"step_{n}_{m}_{p}", True, ok)
+    return report
+
+
+def test_pair_enum_roundtrip_reports_many_faulty_indices_like_the_reference(monkeypatch):
+    # a faulty pair index: every 37th index, from 3 on, maps back one higher
+    index_of_q = pairs.index_of_q
+    monkeypatch.setattr(pairs, "index_of_q", lambda q: index_of_q(q) + (index_of_q(q) % 37 == 3))
+    report = run_suite("pair-enum-roundtrip", bound=500)
+    want = _pair_enum_reference(500)
+    assert report.verdict == "fail"
+    assert report.cases_failed == want.cases_failed > suites.EXAMPLE_CAP
+    assert report.to_json() == want.to_json()
+
+
+def _e_dual_reference(bound):
+    """The suite case by case: one case per word, both characterizations
+    looked up on suites at call time."""
+    report = SuiteReport("E-dual-characterization", {"bound": bound})
+    for n in range(bound + 1):
+        for w in itertools.product((0, 1, 2), repeat=n):
+            want, got = suites.e_def_member(w), suites.e_counter_member(w)
+            report.case("".join(map(str, w)) or "ε", want, got)
+    return report
+
+
+@pytest.mark.parametrize("flipped", [4, 7])
+def test_e_dual_reports_a_faulty_characterization_like_the_reference(monkeypatch, flipped):
+    # faulty counter characterization: flipped on every word whose letters
+    # sum to `flipped`; 4 fails more words than the cap holds, 7 fewer
+    def counter_flipped(w):
+        return e_counter_member(w) != (sum(w) == flipped)
+
+    monkeypatch.setattr(suites, "e_counter_member", counter_flipped)
+    report = run_suite("E-dual-characterization", bound=4)
+    want = _e_dual_reference(4)
+    assert report.verdict == "fail"
+    assert (want.cases_failed > suites.EXAMPLE_CAP) == (flipped == 4)
+    assert report.cases_failed == want.cases_failed
+    assert report.to_json() == want.to_json()
 
 
 def test_failed_cases_count_in_the_total(monkeypatch):

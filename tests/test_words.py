@@ -63,6 +63,9 @@ def test_word_constructors_refuse_what_is_not_a_letter():
         lambda: FiniteWord("ε"),
         lambda: FiniteWord([None]),
         lambda: LassoWord("2a", "1"),
+        lambda: FiniteWord([1.7, 0]),
+        lambda: FiniteWord(5),
+        lambda: LassoWord(3, "1"),
     ):
         with pytest.raises(WorkbenchError, match="not a letter"):
             make()
