@@ -3,8 +3,11 @@
 Finite:   digits in 0..3, or the empty word written as an empty string
           or the single character representing epsilon.
 Lasso:    u(v) with u, v digit strings, v nonempty, e.g. 1(0) or (01).
-Carrier:  K[N,j]m with N, j decimal and m a binary lasso literal,
-          e.g. K[0,0](1) or K[2,1]0(10).
+Carrier:  K[N,j]m with N, j in ASCII decimal digits and m a binary
+          lasso literal, e.g. K[0,0](1) or K[2,1]0(10).
+
+The matched digit strings go to FiniteWord and LassoWord as they are: the
+word constructors are the one place that turns input into letters.
 """
 
 import re
@@ -14,22 +17,18 @@ from .words import FiniteWord, KnjEncodedWord, LassoWord
 
 _FINITE = re.compile(r"[0-3]*\Z")
 _LASSO = re.compile(r"([0-3]*)\(([0-3]+)\)\Z")
-_KNJ = re.compile(r"K\[(\d+),(\d+)\]([01]*)\(([01]+)\)\Z")
+_KNJ = re.compile(r"K\[([0-9]+),([0-9]+)\]([01]*)\(([01]+)\)\Z")
 
 EPSILON = "ε"
 
 
-def _digits(text):
-    return tuple([int(c) for c in text])  # exact size, see FiniteWord
-
-
-def _check_fits(text, letters, size):
-    """Refuse letters whose largest does not fit the alphabet, at that
-    letter's first position in the literal."""
-    top = max(letters)
-    if top >= size:
+def _check_fits(text, digits, size):
+    """Refuse digits whose largest does not fit the alphabet, at that
+    digit's first position in the literal."""
+    top = max(digits)
+    if int(top) >= size:
         raise LiteralSyntaxError(
-            f"letter {top} does not fit an alphabet of size {size}", text.index(str(top))
+            f"letter {top} does not fit an alphabet of size {size}", text.index(top)
         )
 
 
@@ -49,7 +48,7 @@ def parse_word_literal(text: str, size: int = 4):
             n, j = int(m.group(1)), int(m.group(2))
         except ValueError:  # past sys.get_int_max_str_digits()
             raise LiteralSyntaxError("carrier address has too many digits", 1) from None
-        address_m = LassoWord(_digits(m.group(3)), _digits(m.group(4)), size=2)
+        address_m = LassoWord(m.group(3), m.group(4), size=2)
         try:
             return KnjEncodedWord(n, j, address_m)
         except InvalidAddress as exc:
@@ -61,16 +60,15 @@ def parse_word_literal(text: str, size: int = 4):
             raise LiteralSyntaxError(
                 "lasso literal must look like u(v) with nonempty v", pos
             )
-        spoke, cycle = _digits(m.group(1)), _digits(m.group(2))
+        spoke, cycle = m.groups()
         _check_fits(text, spoke + cycle, size)
         return LassoWord(spoke, cycle, size=size)
     m = _FINITE.match(text)
     if not m:
         bad = next(i for i, c in enumerate(text) if c not in "0123")
         raise LiteralSyntaxError(f"unexpected character {text[bad]!r}", bad)
-    word = _digits(text)
-    _check_fits(text, word, size)
-    return FiniteWord(word, size)
+    _check_fits(text, text, size)
+    return FiniteWord(text, size)
 
 
 def format_word(w) -> str:

@@ -23,13 +23,11 @@ class FiniteWord:
     __slots__ = ("letters", "size")
 
     def __init__(self, letters=(), size=None):
-        # a tuple of ints is kept as it is; a str gives its characters
-        if type(letters) is not tuple or not all(type(x) is int for x in letters):
-            letters = _int_letters(letters)
+        letters = _int_letters(letters)
         if size is None:
             size = max(2, max(letters) + 1) if letters else 2
-        if not 2 <= size <= 4:
-            raise WorkbenchError(f"unsupported alphabet size {size}")
+        if type(size) is not int or not 2 <= size <= 4:
+            raise WorkbenchError(f"unsupported alphabet size {size!r}")
         for x in letters:
             if not 0 <= x < size:
                 raise WorkbenchError(f"letter {x} outside alphabet of size {size}")
@@ -76,15 +74,18 @@ class FiniteWord:
     def __repr__(self):
         return f"FiniteWord({str(self)!r}, size={self.size})"
 
-    def count(self, letter: int) -> int:
-        return self.letters.count(letter)
-
 
 def _int_letters(letters) -> tuple:
     """Each letter as an int, in an exact-size tuple (tuple(genexpr) grows
-    its result by resizing): a str letter by int(), any other by
-    operator.index, so 1.7 is refused, not cut to 1.  A letter that neither
-    takes, or an argument that is not iterable, is a WorkbenchError."""
+    its result by resizing).  A word gives its letters and a tuple of ints
+    is kept as it is.  Otherwise a str letter counts only if it is ASCII
+    digits, and any other letter goes through operator.index, so 1.7, "+1"
+    and "١" are refused, not read as 1.  A letter that neither takes, or an
+    argument that is not iterable, is a WorkbenchError."""
+    if isinstance(letters, FiniteWord):
+        return letters.letters
+    if type(letters) is tuple and all(type(x) is int for x in letters):
+        return letters
     try:
         letters = iter(letters)
     except TypeError:
@@ -92,7 +93,8 @@ def _int_letters(letters) -> tuple:
     out = []
     for x in letters:
         try:
-            out.append(int(x) if isinstance(x, str) else operator.index(x))
+            ascii_digits = isinstance(x, str) and x.isascii() and x.isdigit()
+            out.append(int(x) if ascii_digits else operator.index(x))
         except (TypeError, ValueError):
             raise WorkbenchError(f"not a letter: {x!r}") from None
     return tuple(out)
@@ -127,10 +129,6 @@ def canonical_parts(spoke, cycle):
     return spoke, cycle
 
 
-def _letters(x):
-    return x.letters if isinstance(x, FiniteWord) else _int_letters(x)
-
-
 class LassoWord:
     """The omega-word spoke . cycle^omega, stored canonically."""
 
@@ -142,7 +140,7 @@ class LassoWord:
                 size = spoke.size
             if isinstance(cycle, FiniteWord):
                 size = max(size or 2, cycle.size)
-        u, v = canonical_parts(_letters(spoke), _letters(cycle))
+        u, v = canonical_parts(_int_letters(spoke), _int_letters(cycle))
         if size is None:
             size = max(2, max(u + v) + 1)
         object.__setattr__(self, "spoke", FiniteWord(u, size))
@@ -251,21 +249,12 @@ class KnjEncodedWord:
     def prefix(self, n: int) -> FiniteWord:
         if n < 0:
             raise WorkbenchError("prefix length must be nonnegative")
-        out = []
-
-        def ext(val, cnt):
-            take = min(cnt, n - len(out))
-            if take > 0:
-                out.extend([val] * take)
-
-        ext(2, self.n)
+        out = [2] * min(self.n, n)
         b = 0
         while len(out) < n:
             run = self.block_run(b)
-            ext(self.m.letter_at(b), 1)
-            ext(2, run)
-            ext(3, 1)
-            ext(2, run)
+            for letter, count in ((self.m.letter_at(b), 1), (2, run), (3, 1), (2, run)):
+                out += [letter] * min(count, n - len(out))
             b += 1
         # letters 2 and 3 plus block letters, which __init__ checked binary
         return FiniteWord._trusted(tuple(out), 4)

@@ -431,6 +431,7 @@ _SWEEP = [
     (3, ["omega-member", "--construction", "theorem2", "--input", "K[0,7000](1)"]),
     (2, ["omega-member", "--construction", "theorem2", "--input", "K[1,0](1)"]),
     (2, ["omega-member", "--construction", "theorem2", "--input", "K[0,0](2)"]),
+    (2, ["omega-member", "--construction", "theorem2", "--input", "K[٢,١](1)"]),
     (2, ["omega-member", "--construction", "theorem2", "--input", "K[0," + "9" * 5000 + "](1)"]),
     (2, ["omega-member", "--construction", "theorem2", "--input", "0123"]),
     (2, ["omega-member", "--construction", "theorem2", "--input", "(0)", "--rtree", "{bad}"]),

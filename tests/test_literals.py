@@ -1,6 +1,8 @@
 """Word literal grammar: finite digit strings, u(v) lassos, and K[N,j]
 carrier addresses."""
 
+import itertools
+
 import pytest
 
 from omegapower import (
@@ -9,7 +11,6 @@ from omegapower import (
     KnjEncodedWord,
     LassoWord,
     LiteralSyntaxError,
-    corpus_lassos,
     format_word,
     parse_word_literal,
 )
@@ -58,6 +59,11 @@ def test_syntax_errors_carry_positions():
         parse_word_literal("abc")
     with pytest.raises(LiteralSyntaxError):
         parse_word_literal(5)
+    # the carrier address is ASCII digits, like the letters
+    for text in ("K[٠,٠](1)", "K[1,١](1)"):
+        with pytest.raises(LiteralSyntaxError) as info:
+            parse_word_literal(text)
+        assert info.value.position == 0
 
 
 def test_alphabet_bounds():
@@ -69,13 +75,25 @@ def test_alphabet_bounds():
 
 
 def test_format_parse_roundtrip():
-    samples = [word(""), word("0123"), LassoWord("1", "12", size=3)]
-    samples += list(corpus_lassos(2, 2, 2))
-    samples.append(KnjEncodedWord(3, 1, LassoWord("", "10")))
+    # every finite word up to length 5 and every lasso u(v) with |u| <= 2
+    # and |v| <= 3, over each alphabet
+    samples = [KnjEncodedWord(3, 1, LassoWord("", "10"))]
+    for size in (2, 3, 4):
+        texts = [
+            "".join(t) for n in range(6) for t in itertools.product("0123"[:size], repeat=n)
+        ]
+        samples += [word(t, size) for t in texts]
+        samples += [
+            LassoWord(u, v, size)
+            for u in texts
+            if len(u) <= 2
+            for v in texts
+            if 1 <= len(v) <= 3
+        ]
     for w in samples:
         text = format_word(w)
-        again = parse_word_literal(text, getattr(w, "size", 4))
-        assert again == w
+        again = parse_word_literal(text, w.size)
+        assert (again, again.size) == (w, w.size), text
         assert format_word(again) == text
 
 

@@ -37,7 +37,6 @@ def test_finite_word_basics():
     assert list(w) == [0, 1, 2, 3]
     assert w[1] == 1
     assert w[1:3] == word("12")
-    assert w.count(2) == 1
     assert str(word("")) == "ε"
     assert str(w) == "0123"
 
@@ -55,6 +54,10 @@ def test_finite_word_rejects_out_of_range_letters():
         word("3", 3)
     with pytest.raises(WorkbenchError):
         FiniteWord((0,), size=5)
+    # the alphabet size is an int: a size 2.5 would let the letter 2 pass
+    for letters, size in (((2,), 2.5), ((1,), 2.0), ((1,), "3")):
+        with pytest.raises(WorkbenchError, match="unsupported alphabet size"):
+            FiniteWord(letters, size)
 
 
 def test_word_constructors_refuse_what_is_not_a_letter():
@@ -66,6 +69,12 @@ def test_word_constructors_refuse_what_is_not_a_letter():
         lambda: FiniteWord([1.7, 0]),
         lambda: FiniteWord(5),
         lambda: LassoWord(3, "1"),
+        # a str letter is ASCII digits: no other script, sign or space
+        lambda: FiniteWord("١٠"),
+        lambda: FiniteWord("１0"),
+        lambda: FiniteWord(["+1", " 0 "]),
+        lambda: FiniteWord([" 1"]),
+        lambda: LassoWord("١", "0"),
     ):
         with pytest.raises(WorkbenchError, match="not a letter"):
             make()
