@@ -61,14 +61,17 @@ _MEMBER_LANGS = {
 _TREE_LANGS = ("pi", "A4")
 
 
-def _count(text):
+def _count(text, signed=False):
+    """An int in ASCII digits, after one "-" only when signed: int() alone
+    also takes "+", spaces, "_" and other scripts' digits."""
+    digits = text[1:] if signed and text.startswith("-") else text
     try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+        if digits.isascii() and digits.isdigit():
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    kind = "an integer" if signed else "an integer >= 0"
+    raise argparse.ArgumentTypeError(f"expected {kind} in ASCII digits, got {text!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,9 +90,9 @@ def _build_parser():
     p_enum = sub.add_parser("enum", help="pair enumeration and block offsets")
     enum_sub = p_enum.add_subparsers(dest="what", required=True)
     p_q = enum_sub.add_parser("q", help="the indexed pair q_n")
-    p_q.add_argument("--index", type=int, required=True)
+    p_q.add_argument("--index", type=_count, required=True)
     p_m = enum_sub.add_parser("m", help="the block offset M_j")
-    p_m.add_argument("--j", type=int, required=True)
+    p_m.add_argument("--j", type=_count, required=True)
 
     p_erase = sub.add_parser("erase", help="apply the erasing map")
     group = p_erase.add_mutually_exclusive_group(required=True)
@@ -110,7 +113,7 @@ def _build_parser():
     p_verify = sub.add_parser("verify", help="run a dual-route suite")
     p_verify.add_argument("--suite", choices=sorted(SUITES), required=True)
     p_verify.add_argument("--bound", type=_count)
-    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--seed", type=lambda text: _count(text, signed=True))
     p_verify.add_argument("--budget", type=_count)
     p_verify.add_argument("--rtree", default="full")
     p_verify.add_argument("--out", help="write the JSON report here")

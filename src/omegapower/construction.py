@@ -31,8 +31,9 @@ word lies in the M-shaped class without being a mu-product, so the
 classification map f_map only raises on lassos, and on a carrier its triple
 is read off the address.  A lasso u(v) is settled by one window: with k the
 index of the first block letter of v, u(v) has the infinite block shape iff
-u v v[:k] parses as 2^N (m 2^P 3 2^R)+, because every block letter of a
-block-shaped word starts a block and the word repeats from |u| + k.
+u v v[:k], split at its 3s, reads 2^N m 2^P, then (2^R m 2^P)*, then 2^R,
+because every block letter of a block-shaped word starts a block and the
+word repeats from |u| + k.
 """
 
 import re
@@ -165,6 +166,10 @@ def a_member(s: FiniteWord, r: RTreePresentation) -> bool:
 
 # ---------------------------------------------------------------- mu omega
 
+# a piece of a block-shaped word between two 3s: 2^R m 2^P (2^N m 2^P first)
+_PIECE = re.compile(rb"\x02*[\x00\x01](\x02*)")
+
+
 def mu_omega_member(w) -> Member:
     """Is w an infinite product of mu-words (necessarily of a single form)?
     Exact on lassos and carrier words.
@@ -179,11 +184,13 @@ def mu_omega_member(w) -> Member:
     letter (0 or 1) of the cycle v; without one, u(v) has finitely many
     blocks.  In a block-shaped word every block letter starts a block, so
     the word is u v[:k] followed by whole blocks that repeat from |u| + k
-    with period |v|.  Hence u(v) has the infinite block shape iff u v v[:k]
-    parses as 2^N (m 2^P 3 2^R)+ (_delimited_blocks): the rotated period
-    v[k:] v[:k] then starts with a block letter and ends in a 2-run, so
-    each further copy of it continues the shape, and the window holds
-    every P-run the word has.
+    with period |v|.  Hence u(v) has the infinite block shape iff u v v[:k],
+    split at its 3s, reads 2^N m 2^P, then (2^R m 2^P)*, then 2^R: the
+    rotated period v[k:] v[:k] then starts with a block letter and ends in
+    a 2-run, so each further copy of it continues the shape, and the
+    window holds every P-run the word has.  The window is read here, not
+    by _delimited_blocks, so a_member (route B of a-omega-decomposition)
+    shares no grammar with this route.
 
     A carrier has no defect at all: every block has p == r, and the P-runs
     advance to the successor offset in lockstep.  Every pair of consecutive
@@ -194,9 +201,11 @@ def mu_omega_member(w) -> Member:
         k = next((i for i, x in enumerate(v) if x in (0, 1)), None)
         if k is None:
             return Member.NO
-        parsed = _delimited_blocks(FiniteWord._trusted(u + v + v[:k], 4))
+        *pieces, tail = bytes(u + v + v[:k]).split(b"\x03")
+        heads = [_PIECE.fullmatch(x) for x in pieces]
         return Member.of(
-            parsed is not None and all(pairs.m_index(p) is not None for _, p, _ in parsed[1])
+            not tail.strip(b"\x02")
+            and all(h and pairs.m_index(len(h[1])) is not None for h in heads)
         )
     if isinstance(w, KnjEncodedWord):
         blocks = [(w.m.letter_at(i), w.block_run(i), w.block_run(i)) for i in (0, 1)]

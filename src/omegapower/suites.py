@@ -139,24 +139,6 @@ def _words3_up_to(bound):
     )
 
 
-def _trie_walk(words):
-    """Depth-first steps over a prefix-closed list of words, children by
-    letter: (x, i) enters words[i] by its last letter x, (x, None) leaves it
-    again.  The walk starts with (None, i) at the empty word."""
-    index = {w: i for i, w in enumerate(words)}
-    walk = []
-    path = ()
-    # lexicographic order is the trie's preorder
-    for w in sorted(words):
-        while path != w[: len(path)]:
-            walk.append((path[-1], None))
-            path = path[:-1]
-        walk.append((w[-1] if w else None, index[w]))
-        path = w
-    walk.extend((x, None) for x in reversed(path))
-    return walk
-
-
 def _knj_grid(max_j, m_bound):
     """Carrier addresses with j <= max_j (all N) crossed with small binary
     block lassos."""
@@ -240,20 +222,20 @@ def _suite_erase_homomorphism(report, bound):
     Route A erases s . t letter by letter.  Its own loop over s puts the
     letters emitted for s in lane k of `val` (bit q is letter q), one bit in
     lane k of `pos` at the lane's next free position, and the unflipped 1s
-    in `live`, a stack of lane masks aligned at the top.  One depth-first
-    walk over the trie of the t then moves every lane at once: a 0 shifts
-    pos, a 1 sets val |= pos, pushes pos and shifts it, a 2 pops a mask and
-    clears it in val; leaving a node undoes its letter.  Route B is
+    in `tops`, a stack of lane masks aligned at the top.  Each right factor
+    t then starts from these saved lanes and its own copy of the stack and
+    moves every lane at once: a 0 shifts pos, a 1 sets val |= pos, pushes
+    pos and shifts it, a 2 pops a mask and clears it in val.  Route B is
     erase_fin(s) . erase_fin(t) packed into the same lanes: `es` holds every
-    erase_fin(s) and `start` marks where each lane's image of t begins.  A
-    node compares two ints; only a mismatch decodes its failing lanes."""
+    erase_fin(s) and `start` marks where each lane's image of t begins.
+    Each t compares two ints; only a mismatch decodes its failing lanes."""
     words = [w for w in _words3_up_to(bound) if t_member(w)]
     images = [erase_fin(w).letters for w in words]
     # room for |s| + |t| letters and the next-free bit on either route, so a
     # map that lengthens its images cannot spill into the next lane
     width = 2 * max(bound, *map(len, images)) + 1
     image_bits = [_lane_bits(e) for e in images]
-    es = start = val = pos = 0
+    es = start = s_val = s_pos = 0
     tops = []  # tops[d]: each lane's unflipped 1 at depth d from the top
     for k, s in enumerate(words):
         base = k * width
@@ -269,45 +251,32 @@ def _suite_erase_homomorphism(report, bound):
                     ones.append(length)
                     emitted |= 1 << length
                 length += 1
-        val |= emitted << base
-        pos |= 1 << (base + length)
+        s_val |= emitted << base
+        s_pos |= 1 << (base + length)
         for d, q in enumerate(reversed(ones)):
             if d == len(tops):
                 tops.append(0)
             tops[d] |= 1 << (base + q)
-    live = tops[::-1]
     lows = ((1 << (len(words) * width)) - 1) // ((1 << width) - 1)
-    flipped = []
     bad = []  # (k, i, got): the first EXAMPLE_CAP failures in (s, t) order
     misses = 0
-    for x, i in _trie_walk(words):
-        if i is None:
-            if x == 2:
-                mask = flipped.pop()
-                val |= mask
-                live.append(mask)
+    for i, t in enumerate(words):
+        val, pos, live = s_val, s_pos, tops[::-1]
+        for x in t:
+            if x == 0:
+                pos <<= 1
             elif x == 1:
-                pos = live.pop()
-                val ^= pos
+                val |= pos
+                live.append(pos)
+                pos <<= 1
             else:
-                pos >>= 1
-            continue
-        if x == 0:
-            pos <<= 1
-        elif x == 1:
-            val |= pos
-            live.append(pos)
-            pos <<= 1
-        elif x == 2:
-            mask = live.pop()
-            val ^= mask
-            flipped.append(mask)
+                val ^= live.pop()
         want = es | image_bits[i] * start
         want_pos = start << len(images[i])
         if val != want or pos != want_pos:
             diff = (val ^ want) | (pos ^ want_pos)
             misses += _lanes_set(diff, width, lows)
-            # only a node's first lanes can be among the first failures
+            # only a t's first lanes can be among the first failures
             lanes = itertools.islice(_failing_lanes(diff, val, pos, width), EXAMPLE_CAP)
             bad = sorted(bad + [(k, i, got) for k, got in lanes])[:EXAMPLE_CAP]
     failures = (

@@ -212,7 +212,10 @@ def lasso_positions(w: LassoWord):
 
 
 def check_address(n: int, j: int) -> None:
-    """Refuse a carrier address (N, j) unless N, j >= 0 and N <= M_j."""
+    """Refuse a carrier address (N, j) unless N and j are ints (not bools),
+    N, j >= 0 and N <= M_j."""
+    if type(n) is not int or type(j) is not int:
+        raise InvalidAddress(f"address components must be ints, not {n!r} and {j!r}")
     if j < 0 or n < 0:
         raise InvalidAddress("address components must be nonnegative")
     if n > pairs.m_offset(j):

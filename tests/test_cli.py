@@ -402,6 +402,10 @@ _SWEEP = [
     (2, ["enum", "m", "--j", "x"]),
     (2, ["enum", "m", "--j", "-1"]),
     (2, ["enum", "m", "--j", "9" * 30]),
+    (2, ["enum", "m", "--j", "٢"]),
+    (2, ["enum", "m", "--j", " 2"]),
+    (2, ["enum", "q", "--index", "+3"]),
+    (2, ["enum", "q", "--index", "1_0"]),
     (2, ["enum", "z"]),
     (2, ["erase", "--word", "3"]),
     (2, ["erase", "--word", "21"]),
@@ -423,6 +427,8 @@ _SWEEP = [
     (2, ["omega-member", "--construction", "sigma2", "--input", "(3)"]),
     (2, ["omega-member", "--construction", "sigma2", "--input", "(12)", "--budget", "-1"]),
     (2, ["omega-member", "--construction", "sigma2", "--input", "(12)", "--budget", "x"]),
+    (2, ["omega-member", "--construction", "sigma2", "--input", "(12)", "--budget", "٣"]),
+    (2, ["omega-member", "--construction", "sigma2", "--input", "(12)", "--budget", "+3"]),
     (3, ["omega-member", "--construction", "sigma2", "--input", "(1122)", "--budget", "0"]),
     (2, ["omega-member", "--construction", "xi1-pi", "--input", "(2)"]),
     (2, ["omega-member", "--construction", "xi1-sigma", "--input", "0"]),
@@ -439,6 +445,12 @@ _SWEEP = [
     (2, ["verify", "--suite", "knj-roundtrip", "--bound", "-1"]),
     (2, ["verify", "--suite", "knj-roundtrip", "--bound", "x"]),
     (2, ["verify", "--suite", "knj-roundtrip", "--bound", str(10**20)]),
+    (2, ["verify", "--suite", "knj-roundtrip", "--bound", "٣"]),
+    (2, ["verify", "--suite", "knj-roundtrip", "--bound", "3 "]),
+    (2, ["verify", "--suite", "knj-roundtrip", "--bound", "9" * 5000]),
+    (2, ["verify", "--suite", "a-omega-decomposition", "--bound", "0", "--seed", "+5"]),
+    (2, ["verify", "--suite", "a-omega-decomposition", "--bound", "0", "--seed", "-٥"]),
+    (2, ["verify", "--suite", "a-omega-decomposition", "--bound", "0", "--seed", "- 5"]),
     (2, ["verify", "--suite", "a-omega-decomposition", "--bound", "0", "--seed", "x"]),
     (0, ["verify", "--suite", "a-omega-decomposition", "--bound", "0", "--seed", "-5"]),
     (2, ["verify", "--suite", "knj-roundtrip", "--bound", "1", "--seed", "5"]),
@@ -466,4 +478,6 @@ def test_malformed_values_end_in_an_exit_code_and_one_line(
     argv = [arg.format(**paths) for arg in argv]
     got, _, err = run(capsys, *argv)
     assert got == code
-    assert len(err.splitlines()) <= 1, err
+    # a refused input says why on one line; a verdict may say nothing
+    lines = err.splitlines()
+    assert len(lines) == 1 if code == 2 else len(lines) <= 1, err

@@ -54,7 +54,10 @@ def test_address_guard():
         KnjAddress(-1, 0)
 
 
-@pytest.mark.parametrize("n, j", [(-1, 0), (0, -1), (1, 0), (m_offset(1) + 1, 1)])
+@pytest.mark.parametrize(
+    "n, j",
+    [(-1, 0), (0, -1), (1, 0), (m_offset(1) + 1, 1), (0, 0.0), (0.0, 1), (True, 1), ("0", 0)],
+)
 def test_an_address_and_a_carrier_word_refuse_alike(n, j):
     with pytest.raises(InvalidAddress) as by_address:
         KnjAddress(n, j)

@@ -9,9 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omegapower import (
+    FiniteWord,
     KnjEncodedWord,
     LassoWord,
     a3_omega_member,
+    a_member,
     a_omega_member,
     b2_omega_member,
     corpus_lassos,
@@ -25,8 +27,10 @@ from omegapower import (
     pinf_member,
     zero_word_automaton,
 )
+from omegapower import construction
 from omegapower.erasing import t_keep
 from omegapower.lasso import accepting_lasso
+from omegapower.suites import _curated_a_omega
 
 
 def reachable(edges, source):
@@ -114,3 +118,18 @@ def test_route_a_deciders_never_reach_the_kernel(monkeypatch):
     # the stub is in place: a route-B decider does reach it
     with pytest.raises(AssertionError, match="reached accepting_lasso"):
         lasso_accepts(omega_power_automaton(zero_word_automaton()), LassoWord("", "0"))
+
+
+def test_lasso_route_a_never_reads_the_route_b_grammar(monkeypatch):
+    # a-omega-decomposition compares a_omega_member on lassos with a_member
+    # products; a fault in the block grammar must not move both routes
+    def stub(s):
+        raise AssertionError("a route-A lasso decider parsed with _delimited_blocks")
+
+    monkeypatch.setattr(construction, "_delimited_blocks", stub)
+    for w in [*corpus_lassos(4, 2, 2), *_curated_a_omega()]:
+        mu_omega_member(w)
+        a_omega_member(w, full_tree())
+    # the stub is in place: route B does reach it
+    with pytest.raises(AssertionError, match="parsed with _delimited_blocks"):
+        a_member(FiniteWord((1, 2, 3), 4), full_tree())

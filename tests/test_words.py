@@ -233,10 +233,12 @@ def test_carrier_word_rejects_deep_lead():
 
 def test_carrier_word_rejects_bad_fields():
     one = LassoWord("", "1")
-    with pytest.raises(InvalidAddress):
+    with pytest.raises(InvalidAddress, match="nonnegative"):
         KnjEncodedWord(-1, 0, one)
-    with pytest.raises(InvalidAddress):
+    with pytest.raises(InvalidAddress, match="nonnegative"):
         KnjEncodedWord(0, -1, one)
+    with pytest.raises(InvalidAddress, match="ints"):
+        KnjEncodedWord(0, 0.0, one)
     with pytest.raises(WorkbenchError, match="lasso"):
         KnjEncodedWord(0, 0, word("1"))
     with pytest.raises(WorkbenchError, match="binary"):
