@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import pairs
-from .errors import InMuOmega, NotInP, WorkbenchError
+from .errors import InMuOmega, NotInP, check_count
 from .recurrence import close, recurs
 from .rtree import RTreePresentation, r_contains
 from .verdicts import Member
@@ -242,8 +242,8 @@ def is_suitable(t, s_len: int, j: int) -> bool:
     the defects compare P- and R-runs alone, so swapping m never moves it.
     The probe is built trusted: every letter it adds is 0, 2 or 3, and t
     reaches it only when empty or when its letters parse as a mu-word."""
-    if s_len < 0 or j < 0:
-        raise WorkbenchError("S and j must be nonnegative")
+    check_count(s_len, "S")
+    check_count(j, "j")
     if t is None:
         t = FiniteWord((), 4)
     if len(t) == 0:

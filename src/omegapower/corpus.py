@@ -16,6 +16,7 @@ and takes no place in the deduplication set.
 import itertools
 import random
 
+from .errors import check_count, check_size
 from .words import LassoWord, canonical_parts
 
 
@@ -23,9 +24,9 @@ def corpus_lassos(size: int, max_spoke: int, max_cycle: int, keep=None):
     """All distinct lassos over 0..size-1 with canonical |u| <= max_spoke
     and |v| <= max_cycle, by |u|, then |v|, then lex: (001) comes before
     0(1).  The suite digests depend on this order."""
-    letters = range(size)
-    for lu in range(max_spoke + 1):
-        for lv in range(1, max_cycle + 1):
+    letters = range(check_size(size))
+    for lu in range(check_count(max_spoke, "max_spoke") + 1):
+        for lv in range(1, check_count(max_cycle, "max_cycle") + 1):
             for u in itertools.product(letters, repeat=lu):
                 for v in itertools.product(letters, repeat=lv):
                     if keep is not None and not keep(u, v):
@@ -44,11 +45,14 @@ def random_lassos(
     keep=None,
 ):
     """Up to count distinct random lassos; deterministic in the seed."""
-    rng = random.Random(seed)
+    check_size(size)
+    check_count(max_spoke, "max_spoke")
+    check_count(max_cycle, "max_cycle")
+    rng = random.Random(check_count(seed, "seed", signed=True))
     randrange, randint = rng.randrange, rng.randint
     out = []
     seen = set()
-    for _ in range(count * 200):
+    for _ in range(check_count(count, "count") * 200):
         if len(out) >= count:
             break
         u = [randrange(size) for _ in range(randint(0, max_spoke))]

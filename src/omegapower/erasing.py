@@ -23,7 +23,7 @@ e_preimage_check answers the same question through the erasing map; the
 two never consult each other.
 """
 
-from .errors import NotInT, WorkbenchError
+from .errors import NotInT, WorkbenchError, check_count
 from .recurrence import close, recurs
 from .verdicts import Member
 from .words import FiniteWord, LassoWord, canonical_parts
@@ -340,7 +340,7 @@ def a3_omega_member(a: LassoWord, budget: int = DEFAULT_BUDGET) -> Member:
         raise NotInT(f"{a} has a prefix with more 2s than 1s")
     u, v = a.spoke.letters, a.cycle.letters
     cap = _e_depth(u, v)
-    if cap <= budget:
+    if cap <= check_count(budget, "budget"):
         return Member.of(_accepts(u, v, cap))
     return Member.YES if _accepts(u, v, max(budget, 1)) else Member.INCONCLUSIVE
 

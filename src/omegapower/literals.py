@@ -12,7 +12,7 @@ word constructors are the one place that turns input into letters.
 
 import re
 
-from .errors import InvalidAddress, LiteralSyntaxError
+from .errors import InvalidAddress, LiteralSyntaxError, check_size
 from .words import FiniteWord, KnjEncodedWord, LassoWord
 
 _FINITE = re.compile(r"[0-3]*\Z")
@@ -34,6 +34,7 @@ def _check_fits(text, digits, size):
 
 def parse_word_literal(text: str, size: int = 4):
     """Parse a literal into a FiniteWord, LassoWord, or KnjEncodedWord."""
+    check_size(size)
     if not isinstance(text, str):
         raise LiteralSyntaxError("expected a string literal", 0)
     if text in ("", EPSILON):

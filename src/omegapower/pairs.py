@@ -14,27 +14,24 @@ beta part, so every index has exactly two successors per input bit.
 
 from dataclasses import dataclass
 
-from .errors import WorkbenchError
-
-Bits = tuple  # tuple of 0/1 ints
+from .errors import WorkbenchError, all_bits, check_count
 
 
 @dataclass(frozen=True)
 class QPair:
     """An equal-length pair of binary words (beta first)."""
 
-    beta: Bits
-    alpha: Bits
+    beta: tuple  # bits, as all_bits reads them
+    alpha: tuple
 
     def __post_init__(self):
         if len(self.beta) != len(self.alpha):
             raise WorkbenchError("pair components must have equal length")
-        for b in self.beta + self.alpha:
-            if b not in (0, 1):
-                raise WorkbenchError("pair components must be binary")
+        if not all_bits(self.beta + self.alpha):
+            raise WorkbenchError("pair components must be binary")
 
     @classmethod
-    def _trusted(cls, beta: Bits, alpha: Bits) -> "QPair":
+    def _trusted(cls, beta: tuple, alpha: tuple) -> "QPair":
         """A pair from equal-length bit tuples already known to be binary,
         for q_of_index; public construction checks every bit."""
         p = object.__new__(cls)
@@ -59,9 +56,7 @@ class QPair:
 
 def m_offset(j: int) -> int:
     """M_j, the index of the last pair of length j."""
-    if j < 0:
-        raise WorkbenchError("block offset undefined for negative j")
-    return (4 ** (j + 1) - 4) // 3
+    return (4 ** (check_count(j, "block depth j") + 1) - 4) // 3
 
 
 def m_index(value: int):
@@ -69,7 +64,7 @@ def m_index(value: int):
 
     3 M_j + 4 = 4^(j+1), so value is an offset iff 3 value + 4 is a power of
     two with an odd bit length 2j + 3."""
-    x = 3 * value + 4
+    x = 3 * check_count(value, "block offset", signed=True) + 4
     if value < 0 or x & (x - 1) or not x.bit_length() & 1:
         return None
     return (x.bit_length() - 3) // 2
@@ -78,8 +73,7 @@ def m_index(value: int):
 def _length_rank(n: int):
     """(L, rank) of the pair of index n: its length and its place among the
     4^L pairs of that length, whose 2L binary digits are beta then alpha."""
-    if n < 0:
-        raise WorkbenchError("pair index must be nonnegative")
+    check_count(n, "pair index")
     # the smallest L with M_L >= n: 4^(L+1) >= 3n + 4, i.e. 2L + 2 >= bits of 3n + 3
     length = ((3 * n + 3).bit_length() + 1) // 2 - 1
     # minus (4^L - 1) // 3 = M_(L-1) + 1, the first index of length L (0 for L = 0)
@@ -114,9 +108,7 @@ def index_of_q(pair: QPair) -> int:
 
 
 def successors(n: int, m: int) -> frozenset:
-    """Indices reachable from index n by one step on input bit m."""
-    if m not in (0, 1):
-        raise WorkbenchError("input bit must be 0 or 1")
+    """Indices reachable from index n by one step on input bit m (QPair checks m)."""
     p = q_of_index(n)
     return frozenset(
         index_of_q(QPair(p.beta + (b,), p.alpha + (m,))) for b in (0, 1)

@@ -36,12 +36,11 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import pairs
-from .errors import WorkbenchError
+from .errors import WorkbenchError, all_bits
 from .lasso import accepting_lasso
 from .words import LassoWord, lasso_positions
 
 _KEYS = ("00", "01", "10", "11")
-_BITS = frozenset((0, 1))
 
 
 class TreeCodes(NamedTuple):
@@ -134,20 +133,21 @@ def diag_tree() -> RTreePresentation:
     ).validate()
 
 
-def tree_from_json(text: str, name: str = "custom") -> RTreePresentation:
+def tree_from_json(text: str) -> RTreePresentation:
+    """The tree a JSON document describes (README "Tree documents")."""
     try:
         data = json.loads(text)
-        delta = {q: dict(row) for q, row in data["delta"].items()}
-        return RTreePresentation(
-            name=data.get("name", name),
-            states=tuple(data["states"]),
-            initial=data["initial"],
-            live=frozenset(data["live"]),
-            delta=delta,
-        ).validate()
-    except WorkbenchError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        name, initial = data.get("name", "custom"), data["initial"]
+        states, live, delta = data["states"], data["live"], data["delta"]
+        if not (
+            type(states) is list and type(live) is list and type(delta) is dict
+            and all(type(q) is str for q in [name, initial, *states, *live])
+            and name.isprintable() and all(type(row) is dict for row in delta.values())
+        ):
+            raise WorkbenchError("malformed tree document: a field has the wrong type")
+        return RTreePresentation(name, tuple(states), initial, frozenset(live), delta).validate()
+    except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
+        # json.loads raises RecursionError on documents nested too deeply
         raise WorkbenchError(f"malformed tree document: {exc}") from exc
 
 
@@ -222,7 +222,7 @@ def ts_lasso_witness(r: RTreePresentation, start: int, alpha: LassoWord):
     n |u| of the spoke walk.  The product reads the tree only through
     r.codes and r.state_of_index."""
     u, v = alpha.spoke.letters, alpha.cycle.letters
-    if not (_BITS.issuperset(u) and _BITS.issuperset(v)):
+    if not all_bits(u + v):
         raise WorkbenchError("input lasso must be binary")
     codes = r.codes
     succ = codes.succ
@@ -259,15 +259,15 @@ def ts_replay(r: RTreePresentation, start: int, alpha: LassoWord, witness) -> bo
     a mapping with start_index, prefix and loop, or with a guessed bit
     other than the int 0 or 1) or one for another start index does not
     replay."""
+    state = r.run_pair(pairs.q_of_index(start))
     try:
         prefix, loop = list(witness["prefix"]), list(witness["loop"])
         same_start = witness["start_index"] == start
     except (KeyError, TypeError):
         return False
-    if not same_start or not all(type(b) is int and b in _BITS for b in prefix + loop):
+    if not same_start or not all_bits(prefix + loop):
         return False
     letters, after = lasso_positions(alpha)
-    state = r.run_pair(pairs.q_of_index(start))
     pos = 0
     for b in prefix:
         state = r.step(state, b, letters[pos])

@@ -35,7 +35,7 @@ from .erasing import (
     t_keep,
     t_member,
 )
-from .errors import WorkbenchError
+from .errors import WorkbenchError, check_count
 from .knj import KnjAddress, knj_prefix_consistent, phi, phi_inverse
 from .oracles import enumerate_pairs, omega_factor_evidence
 from .rtree import RTreePresentation, diag_tree, full_tree, load_tree, ts_lasso_accepts
@@ -443,17 +443,20 @@ SUITES = {
 
 
 def check_run(name, bound=None, **given) -> Suite:
-    """The entry of suite `name`, once the run's arguments pass: refuses an
-    unknown suite, a bound past its maximum, and a seed, tree or budget the
-    suite does not read.  Run it before anything the run would write."""
+    """Suite `name`'s entry once the arguments pass: refuses an unknown
+    suite, numbers check_count refuses, a bound past the maximum and a seed,
+    tree or budget the suite does not read.  Call it before any write."""
     suite = SUITES.get(name)
     if suite is None:
         raise WorkbenchError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
-    if bound is not None and bound > suite.max_bound:
+    if bound is not None and check_count(bound, "bound") > suite.max_bound:
         raise WorkbenchError(f"{name} takes a bound of at most {suite.max_bound}, got {bound}")
     unread = [key for key, value in given.items() if value is not None and key not in suite.reads]
     if unread:
         raise WorkbenchError(f"{name} does not read {' or '.join(unread)}")
+    for key in ("seed", "budget"):
+        if given.get(key) is not None:
+            check_count(given[key], key, signed=key == "seed")
     return suite
 
 

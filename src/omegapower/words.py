@@ -15,7 +15,7 @@ which is why they get their own representation.
 
 import operator
 
-from .errors import InvalidAddress, WorkbenchError
+from .errors import InvalidAddress, WorkbenchError, all_bits, check_count, check_size
 from . import pairs
 
 
@@ -26,8 +26,7 @@ class FiniteWord:
         letters = _int_letters(letters)
         if size is None:
             size = max(2, max(letters) + 1) if letters else 2
-        if type(size) is not int or not 2 <= size <= 4:
-            raise WorkbenchError(f"unsupported alphabet size {size!r}")
+        check_size(size)
         for x in letters:
             if not 0 <= x < size:
                 raise WorkbenchError(f"letter {x} outside alphabet of size {size}")
@@ -166,14 +165,14 @@ class LassoWord:
         return max(self.spoke.size, self.cycle.size)
 
     def letter_at(self, i: int) -> int:
+        check_count(i, "letter position")
         u, v = self.spoke.letters, self.cycle.letters
         if i < len(u):
             return u[i]
         return v[(i - len(u)) % len(v)]
 
     def prefix(self, n: int) -> FiniteWord:
-        if n < 0:
-            raise WorkbenchError("prefix length must be nonnegative")
+        check_count(n, "prefix length")
         u, v = self.spoke.letters, self.cycle.letters
         if n <= len(u):
             return FiniteWord._trusted(u[:n], self.size)
@@ -212,12 +211,9 @@ def lasso_positions(w: LassoWord):
 
 
 def check_address(n: int, j: int) -> None:
-    """Refuse a carrier address (N, j) unless N and j are ints (not bools),
-    N, j >= 0 and N <= M_j."""
-    if type(n) is not int or type(j) is not int:
-        raise InvalidAddress(f"address components must be ints, not {n!r} and {j!r}")
-    if j < 0 or n < 0:
-        raise InvalidAddress("address components must be nonnegative")
+    """Refuse a carrier address (N, j) unless N, j are counts and N <= M_j."""
+    check_count(n, "address N", InvalidAddress)
+    check_count(j, "address j", InvalidAddress)
     if n > pairs.m_offset(j):
         raise InvalidAddress(f"N={n} exceeds M_{j}={pairs.m_offset(j)}")
 
@@ -231,9 +227,8 @@ class KnjEncodedWord:
         check_address(n, j)
         if not isinstance(m, LassoWord):
             raise WorkbenchError("block letters must form a lasso")
-        for x in m.spoke.letters + m.cycle.letters:
-            if x not in (0, 1):
-                raise WorkbenchError("block letters must be binary")
+        if not all_bits(m.spoke.letters + m.cycle.letters):
+            raise WorkbenchError("block letters must be binary")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "m", m)
@@ -247,11 +242,10 @@ class KnjEncodedWord:
 
     def block_run(self, i: int) -> int:
         """Length of each 2-run in block i."""
-        return pairs.m_offset(self.j + i + 1)
+        return pairs.m_offset(self.j + check_count(i, "block index") + 1)
 
     def prefix(self, n: int) -> FiniteWord:
-        if n < 0:
-            raise WorkbenchError("prefix length must be nonnegative")
+        check_count(n, "prefix length")
         out = [2] * min(self.n, n)
         b = 0
         while len(out) < n:

@@ -458,6 +458,12 @@ _SWEEP = [
     (3, ["verify", "--suite", "sigma2-main", "--bound", "0", "--budget", "0"]),
     (2, ["verify", "--suite", "knj-roundtrip", "--bound", "1", "--budget", "0"]),
     (2, ["verify", "--suite", "a-omega-decomposition", "--bound", "0", "--rtree", "{missing}"]),
+    # tree files: nested too deeply for json, or with a field of the wrong type
+    (2, ["member", "--lang", "pi", "--word", "0222232", "--rtree", "{deep}"]),
+    (2, ["verify", "--suite", "a-omega-decomposition", "--bound", "0", "--rtree", "{deep}"]),
+    (2, ["member", "--lang", "pi", "--word", "0222232", "--rtree", "{letters}"]),
+    (2, ["omega-member", "--construction", "theorem2", "--input", "(0)", "--rtree", "{letters}"]),
+    (2, ["verify", "--suite", "a-omega-decomposition", "--bound", "0", "--rtree", "{two_lines}"]),
     (2, ["verify", "--suite", "knj-roundtrip", "--bound", "1", "--out", "{dir}/no/x.json"]),
     (2, ["verify", "--suite", "knj-roundtrip", "--bound", "1", "--out", "{dir}"]),
     (2, ["nope"]),
@@ -473,8 +479,18 @@ def test_malformed_values_end_in_an_exit_code_and_one_line(
 ):
     # fewer seeded draws: the sigma2-main runs check exit codes, not verdicts
     monkeypatch.setattr(suites, "SIGMA2_SAMPLES", 100)
-    (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
-    paths = {"missing": tmp_path / "missing.json", "bad": tmp_path / "bad.json", "dir": tmp_path}
+    rows = {q: dict.fromkeys(("00", "01", "10", "11"), q) for q in "ab"}
+    tree = {"states": ["a", "b"], "initial": "a", "live": ["a"], "delta": rows}
+    files = {
+        "bad": "{not json",
+        "deep": "[" * 100_000,
+        "letters": json.dumps({**tree, "states": "ab"}),
+        "two_lines": json.dumps({**tree, "name": "x\ny"}),
+    }
+    paths = {"missing": tmp_path / "missing.json", "dir": tmp_path}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text, encoding="utf-8")
     argv = [arg.format(**paths) for arg in argv]
     got, _, err = run(capsys, *argv)
     assert got == code

@@ -133,12 +133,15 @@ def test_index_arithmetic_edge_pairs():
     assert q_of_index(0) == QPair((), ())
     assert q_of_index(0).beta == q_of_index(0).alpha == ()
     assert index_of_q(QPair((), ())) == 0
-    # bool is an int subclass, so True and False are valid bits
-    for beta in ((True, False), (False, True)):
-        for alpha in ((True, True), (False, False)):
+    for beta in ((1, 0), (0, 1)):
+        for alpha in ((1, 1), (0, 0)):
             pair = QPair(beta, alpha)
             assert index_of_q(pair) == index_of_pair_bits(beta, alpha)
             assert q_of_index(index_of_q(pair)) == pair
+    # bits are the ints 0 and 1: a bool or a float is no bit
+    for beta, alpha in (((True, False), (1, 1)), ((1.0,), (0,)), ((1,), (False,))):
+        with pytest.raises(WorkbenchError, match="binary"):
+            QPair(beta, alpha)
     last = m_offset(40)
     assert last > 2**64
     assert q_of_index(last) == QPair((1,) * 40, (1,) * 40)

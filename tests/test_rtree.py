@@ -331,7 +331,8 @@ def test_prefix_closure_of_trees():
 
 def test_tree_json_roundtrip():
     for r in (full_tree(), diag_tree()):
-        again = tree_from_json(tree_to_json(r), name=r.name)
+        again = tree_from_json(tree_to_json(r))
+        assert again.name == r.name
         for q in enumerate_pairs(3):
             assert r_contains(again, q) == r_contains(r, q)
 
@@ -361,6 +362,38 @@ def test_tree_json_validation():
         tree_from_json("{}")
     with pytest.raises(WorkbenchError):
         tree_from_json("not json")
+
+
+KEYS = ("00", "01", "10", "11")
+
+
+def _one_state_doc(**fields):
+    doc = {"states": ["a"], "initial": "a", "live": ["a"], "delta": {"a": dict.fromkeys(KEYS, "a")}}
+    return json.dumps({**doc, **fields})
+
+
+def test_tree_documents_refuse_fields_of_the_wrong_type():
+    assert tree_from_json(_one_state_doc()).name == "custom"
+    assert tree_from_json(_one_state_doc(name="my tree")).name == "my tree"
+    rows = {"a": dict.fromkeys(KEYS, "a"), "b": dict.fromkeys(KEYS, "b")}
+    for fields in (
+        {"states": "ab", "delta": rows},  # a string is not a list of states
+        {"states": {"a": 0}},
+        {"live": "a"},
+        {"states": ["a", 1]},
+        {"initial": ["a"]},
+        {"name": "x\ny"},  # a report's tree parameter is one line
+        {"name": 5},
+        {"delta": {"a": [[key, "a"] for key in KEYS]}},
+        {"delta": [["a", dict.fromkeys(KEYS, "a")]]},
+    ):
+        with pytest.raises(WorkbenchError, match="malformed tree document"):
+            tree_from_json(_one_state_doc(**fields))
+
+
+def test_deeply_nested_tree_document_is_refused():
+    with pytest.raises(WorkbenchError, match="malformed tree document"):
+        tree_from_json("[" * 100_000)
 
 
 def test_load_tree(tmp_path):
