@@ -67,7 +67,6 @@ from .rtree import (
     diag_tree,
     full_tree,
     load_tree,
-    r_contains,
     ts_lasso_accepts,
     ts_replay,
 )

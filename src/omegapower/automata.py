@@ -16,7 +16,7 @@ through an edge into an accepting state.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import WorkbenchError
+from .errors import WorkbenchError, all_bits
 from .lasso import accepting_lasso
 from .words import FiniteWord, LassoWord, lasso_positions
 
@@ -48,9 +48,6 @@ class Automaton:
                         raise WorkbenchError(f"transition into unknown state {t!r}")
         return self
 
-    def step(self, state, letter):
-        return self.delta.get(state, {}).get(letter, frozenset())
-
     @cached_property
     def codes(self) -> tuple:
         """(succ, accepting, initial), compiled once per automaton on integer
@@ -59,8 +56,8 @@ class Automaton:
         state x is accepting."""
         ids = {q: x for x, q in enumerate(self.states)}
         succ = tuple(
-            tuple(tuple(sorted(ids[t] for t in self.step(q, a))) for a in range(self.size))
-            for q in self.states
+            tuple(tuple(sorted(ids[t] for t in row.get(a, ()))) for a in range(self.size))
+            for row in (self.delta.get(q, {}) for q in self.states)
         )
         return succ, sum(1 << ids[q] for q in self.accepting), ids[self.initial]
 
@@ -77,12 +74,16 @@ def make_automaton(states, initial, accepting, size, edges) -> Automaton:
 
 
 def accepts_finite(aut: Automaton, w: FiniteWord) -> bool:
-    current = {aut.initial}
+    """Some run on w ends in an accepting state; a letter outside the alphabet has none."""
+    succ, accepting, initial = aut.codes
+    current = {initial}
     for a in w:
-        current = {t for q in current for t in aut.step(q, a)}
+        if a >= aut.size:
+            return False
+        current = {t for q in current for t in succ[q][a]}
         if not current:
             return False
-    return bool(current & aut.accepting)
+    return any(accepting >> q & 1 for q in current)
 
 
 def omega_power_automaton(aut: Automaton) -> Automaton:
@@ -168,6 +169,6 @@ def zero_star_one_automaton() -> Automaton:
 
 def pinf_member(w: LassoWord) -> bool:
     """Infinitely many 1s, i.e. the cycle contains a 1."""
-    if not {0, 1}.issuperset(w.spoke.letters + w.cycle.letters):
+    if not all_bits(w.spoke.letters + w.cycle.letters):
         raise WorkbenchError("pinf_member expects a binary word")
     return 1 in w.cycle.letters

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import pairs
-from .errors import InMuOmega, NotInP, check_count
+from .errors import InMuOmega, NotInP, WorkbenchError, check_count
 from .recurrence import close, recurs
-from .rtree import RTreePresentation, r_contains
+from .rtree import RTreePresentation
 from .verdicts import Member
 from .words import FiniteWord, KnjEncodedWord, LassoWord
 
@@ -109,26 +109,18 @@ def _pi_decomposition(parsed, r: RTreePresentation):
     if r_last > pairs.m_offset(j + l + 1):
         return None
     p_last = pairs.m_offset(j + l + 1) - r_last
-    qp = pairs.q_of_index(p_last)
-    q0 = pairs.q_of_index(n0)
-    mlist = tuple(b[0] for b in blocks)
-    if len(qp) != len(q0) + l + 1:
+    width0, beta0, alpha0 = pairs.split_index(n0)
+    width, beta, alpha = pairs.split_index(p_last)
+    letters = int("".join(str(m) for m, _, _ in blocks), 2)
+    if width != width0 + l + 1 or beta >> (l + 1) != beta0 or not beta & 1:
         return None
-    if qp.alpha != q0.alpha + mlist:
-        return None
-    if qp.beta[: len(q0)] != q0.beta:
-        return None
-    if qp.beta[-1] != 1 or not r_contains(r, qp):
+    if alpha != alpha0 << (l + 1) | letters or not r.codes.live >> r.state_of_index(p_last) & 1:
         return None
     chain = []
     n_i = n0
-    for i in range(l + 1):
-        if i == l:
-            p_i = p_last
-        else:
-            width = len(q0) + i + 1
-            p_i = pairs.index_of_q(pairs.QPair(qp.beta[:width], q0.alpha + mlist[: i + 1]))
-        chain.append((n_i, mlist[i], p_i, pairs.m_offset(j + i + 1) - p_i))
+    for i, (m, _, _) in enumerate(blocks):
+        p_i = pairs.join_index(width0 + i + 1, beta >> (l - i), alpha >> (l - i))
+        chain.append((n_i, m, p_i, pairs.m_offset(j + i + 1) - p_i))
         n_i = p_i
     return PiDecomposition(j, tuple(chain))
 
@@ -210,7 +202,7 @@ def mu_omega_member(w) -> Member:
     if isinstance(w, KnjEncodedWord):
         blocks = [(w.m.letter_at(i), w.block_run(i), w.block_run(i)) for i in (0, 1)]
         return Member.of(any(_mu_defects((w.n, blocks))))
-    raise TypeError(f"no block structure for {w!r}")
+    raise WorkbenchError(f"no block structure for {w!r}")
 
 
 # ---------------------------------------------------------------- map F
@@ -229,7 +221,7 @@ def f_map(w):
         if mu_omega_member(w) is Member.YES:
             raise InMuOmega(f"{w} is a mu-product")
         raise NotInP(f"{w} lacks the M-valued infinite block shape")
-    raise TypeError(f"no classification for {w!r}")
+    raise WorkbenchError(f"no classification for {w!r}")
 
 
 def is_suitable(t, s_len: int, j: int) -> bool:
@@ -319,7 +311,7 @@ def pi_omega_knj_member(w: KnjEncodedWord, r: RTreePresentation) -> bool:
     stay independent).  The tree is read only through r.codes and
     r.state_of_index."""
     if not isinstance(w, KnjEncodedWord):
-        raise TypeError("pi_omega_knj_member expects a carrier word")
+        raise WorkbenchError("pi_omega_knj_member expects a carrier word")
     succ, reach, good = _cycle_summary(r.codes, w.m.cycle.letters)
     states = 1 << r.state_of_index(w.n)
     for a in w.m.spoke.letters:

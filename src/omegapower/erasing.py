@@ -23,7 +23,7 @@ e_preimage_check answers the same question through the erasing map; the
 two never consult each other.
 """
 
-from .errors import NotInT, WorkbenchError, check_count
+from .errors import NotInT, WorkbenchError, all_bits, check_count
 from .recurrence import close, recurs
 from .verdicts import Member
 from .words import FiniteWord, LassoWord, canonical_parts
@@ -185,9 +185,8 @@ def a3_member(s: FiniteWord) -> bool:
 
 def b2_omega_member(w: LassoWord) -> bool:
     """Binary words other than 1 0^omega."""
-    for x in w.spoke.letters + w.cycle.letters:
-        if x not in (0, 1):
-            raise WorkbenchError("expected a binary lasso")
+    if not all_bits(w.spoke.letters + w.cycle.letters):
+        raise WorkbenchError("expected a binary lasso")
     return w.spoke.letters != (1,) or w.cycle.letters != (0,)
 
 

@@ -87,6 +87,12 @@ def split_index(n: int):
     return length, rank >> length, rank & ((1 << length) - 1)
 
 
+def join_index(length: int, beta: int, alpha: int) -> int:
+    """Inverse of split_index: the index of the pair of that length whose
+    components, as integers, are beta and alpha."""
+    return ((1 << 2 * length) - 1) // 3 + (beta << length | alpha)
+
+
 # binary digits to bits and back, for bytes.translate
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")

@@ -9,15 +9,15 @@ live one, so once a run dies it stays dead.
 JSON delta keys are two digits, guessed branch bit first: key "ba" covers
 the pair letter (beta bit b, alpha bit a).
 
-Two data primitives serve the deciders, next to step and run_pair: r.codes,
-the tree compiled once into integer state ids (the ids number r.states in
+The package reads a tree only through two data primitives: r.codes, the
+tree compiled once into integer state ids (the ids number r.states in
 order; four successor ids per state, indexed 2b + a, and a live bitmask),
 and r.state_of_index(n), the id of the state that the pair of index n
-reaches, walked from the bits of n without building the pair.  Both carrier
-routes, ts_lasso_witness here and construction.pi_omega_knj_member, read
-the tree only through these two, and both key their per-cycle memos by
-r.codes, never by r.name: two trees share a memo entry iff they compile to
-the same codes, whatever their names.
+reaches, walked from the bits of n without building the pair; the walk of
+r.delta by definition lives with the tests.  Both carrier routes,
+ts_lasso_witness here and construction.pi_omega_knj_member, key their
+per-cycle memos by r.codes, never by r.name: two trees share a memo entry
+iff they compile to the same codes, whatever their names.
 
 ts_lasso_accepts(r, start, alpha) decides whether, starting from pair index
 `start`, the input lasso alpha can be read with guessed bits so that
@@ -80,15 +80,6 @@ class RTreePresentation:
                     )
         return self
 
-    def step(self, state, b: int, a: int):
-        return self.delta[state][f"{b}{a}"]
-
-    def run_pair(self, pair: pairs.QPair):
-        state = self.initial
-        for b, a in pair.letters():
-            state = self.step(state, b, a)
-        return state
-
     @cached_property
     def codes(self) -> TreeCodes:
         """The transition table on integer ids, compiled once per tree."""
@@ -100,8 +91,8 @@ class RTreePresentation:
         )
 
     def state_of_index(self, n: int) -> int:
-        """The id of the state run_pair(q_of_index(n)) reaches, read from the
-        bits of n's components without building the pair."""
+        """The id of the state the pair of index n leads to from the initial
+        state, read from the bits of n's components without building it."""
         length, beta, alpha = pairs.split_index(n)
         succ, _, state = self.codes
         for k in range(length - 1, -1, -1):
@@ -149,10 +140,6 @@ def tree_from_json(text: str) -> RTreePresentation:
     except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
         # json.loads raises RecursionError on documents nested too deeply
         raise WorkbenchError(f"malformed tree document: {exc}") from exc
-
-
-def r_contains(r: RTreePresentation, pair: pairs.QPair) -> bool:
-    return r.run_pair(pair) in r.live
 
 
 # per-cycle memos _cycle_lassos keeps: the theorem2 gate meets 22 cycles per tree
@@ -255,11 +242,14 @@ def ts_lasso_accepts(r: RTreePresentation, start: int, alpha: LassoWord) -> bool
 
 def ts_replay(r: RTreePresentation, start: int, alpha: LassoWord, witness) -> bool:
     """Check a witness: replay its guessed bits and confirm the loop closes
-    on the same product node and contains a hit.  A malformed witness (not
-    a mapping with start_index, prefix and loop, or with a guessed bit
-    other than the int 0 or 1) or one for another start index does not
-    replay."""
-    state = r.run_pair(pairs.q_of_index(start))
+    on the same product node and contains a hit.  A non-binary lasso raises
+    WorkbenchError; a malformed witness (not a mapping with start_index,
+    prefix and loop, or with a guessed bit other than the int 0 or 1) or
+    one for another start index does not replay."""
+    letters, after = lasso_positions(alpha)
+    if not all_bits(letters):
+        raise WorkbenchError("input lasso must be binary")
+    state = r.state_of_index(start)
     try:
         prefix, loop = list(witness["prefix"]), list(witness["loop"])
         same_start = witness["start_index"] == start
@@ -267,17 +257,17 @@ def ts_replay(r: RTreePresentation, start: int, alpha: LassoWord, witness) -> bo
         return False
     if not same_start or not all_bits(prefix + loop):
         return False
-    letters, after = lasso_positions(alpha)
+    succ, live, _ = r.codes
     pos = 0
     for b in prefix:
-        state = r.step(state, b, letters[pos])
+        state = succ[state][2 * b + letters[pos]]
         pos = after[pos]
     anchor = (state, pos)
     hit = False
     for b in loop:
-        state = r.step(state, b, letters[pos])
+        state = succ[state][2 * b + letters[pos]]
         pos = after[pos]
-        if b == 1 and state in r.live:
+        if b == 1 and live >> state & 1:
             hit = True
     return hit and (state, pos) == anchor
 

@@ -275,4 +275,4 @@ class KnjEncodedWord:
 def prefix(w, n: int) -> FiniteWord:
     if isinstance(w, (LassoWord, KnjEncodedWord)):
         return w.prefix(n)
-    raise TypeError(f"not an infinite word: {w!r}")
+    raise WorkbenchError(f"not an infinite word: {w!r}")

@@ -6,11 +6,15 @@ accepting-cycle search lasso.accepting_lasso, and
 construction.pi_omega_knj_member, whose bit-lane summaries per (tree, cycle)
 recurrence.close closes; both keep those per-cycle answers across calls.
 This is a third, set-based way to the same answer that shares no code with
-either and keeps nothing between calls.
+either and keeps nothing between calls: it walks r.delta by definition
+through tree_reference.step and run_pair, the only delta walker, never the
+compiled codes both deciders read.
 """
 
 from omegapower import pairs
 from omegapower.words import LassoWord
+
+from tree_reference import run_pair, step
 
 
 def matrix_lasso_accepts(r, start: int, alpha: LassoWord) -> bool:
@@ -19,9 +23,9 @@ def matrix_lasso_accepts(r, start: int, alpha: LassoWord) -> bool:
     one-cycle reachability seeing an accepting hit, and acceptance means
     some boundary state reachable after the spoke sits on a C*AC* loop."""
     u, v = alpha.spoke.letters, alpha.cycle.letters
-    boundary = {r.run_pair(pairs.q_of_index(start))}
+    boundary = {run_pair(r, pairs.q_of_index(start))}
     for a in u:
-        boundary = {r.step(s, b, a) for s in boundary for b in (0, 1)}
+        boundary = {step(r, s, b, a) for s in boundary for b in (0, 1)}
     reach = {}
     hit_reach = {}
     for s0 in r.states:
@@ -30,7 +34,7 @@ def matrix_lasso_accepts(r, start: int, alpha: LassoWord) -> bool:
             nxt = set()
             for s, h in frontier:
                 for b in (0, 1):
-                    s2 = r.step(s, b, a)
+                    s2 = step(r, s, b, a)
                     nxt.add((s2, h or (b == 1 and s2 in r.live)))
             frontier = nxt
         reach[s0] = {s for s, _ in frontier}

@@ -39,6 +39,10 @@ def test_sigma_witness_finite_membership():
     assert not accepts_finite(v, word("", 2))
 
 
+def test_finite_word_outside_the_alphabet_is_not_accepted():
+    assert not accepts_finite(xi1_sigma_witness(), word("2", 3))
+
+
 def test_sigma_witness_language_shape():
     # members are exactly 0w and 1 0^k 1 w
     v = xi1_sigma_witness()

@@ -15,6 +15,7 @@ from omegapower import (
     successors,
 )
 from omegapower.oracles import enumerate_pairs
+from omegapower.pairs import join_index, split_index
 
 from pair_reference import index_of_pair_bits, pair_bits_of_index
 
@@ -116,6 +117,9 @@ def _agrees_with_per_bit_reference(n):
     q = q_of_index(n)
     assert (q.beta, q.alpha) == (beta, alpha)
     assert index_of_q(q) == index_of_pair_bits(beta, alpha) == n
+    as_int = lambda word: int("".join(map(str, word)) or "0", 2)
+    assert split_index(n) == (len(beta), as_int(beta), as_int(alpha))
+    assert join_index(*split_index(n)) == n
 
 
 def test_index_arithmetic_matches_per_bit_reference():

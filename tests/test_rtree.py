@@ -25,7 +25,6 @@ from omegapower import (
     load_tree,
     q_of_index,
     pi_omega_knj_member,
-    r_contains,
     ts_lasso_accepts,
     ts_replay,
 )
@@ -35,7 +34,7 @@ from omegapower.oracles import enumerate_pairs
 from omegapower.rtree import RTreePresentation, tree_from_json, ts_lasso_witness
 
 from boundary_reference import matrix_lasso_accepts
-from tree_reference import qf_member, tree_to_json
+from tree_reference import qf_member, r_contains, run_pair, step, tree_to_json
 
 
 def lasso(text):
@@ -109,6 +108,13 @@ def test_malformed_witness_does_not_replay():
 def test_lasso_acceptance_needs_a_binary_input():
     with pytest.raises(WorkbenchError, match="binary"):
         ts_lasso_accepts(full_tree(), 0, LassoWord("2", "1", size=3))
+
+
+def test_replay_needs_a_binary_input():
+    # on the compiled codes a letter 2 would read a wrong column, not fail
+    witness = {"start_index": 0, "prefix": [], "loop": [1]}
+    with pytest.raises(WorkbenchError, match="binary"):
+        ts_replay(full_tree(), 0, LassoWord((), (2,), size=4), witness)
 
 
 def test_witness_with_an_empty_loop_does_not_replay():
@@ -200,10 +206,10 @@ def test_compiled_tree_agrees_with_step_and_run_pair(query):
         assert (live >> x & 1 == 1) is (q in r.live)
         for b in (0, 1):
             for a in (0, 1):
-                assert r.states[succ[x][2 * b + a]] == r.step(q, b, a)
+                assert r.states[succ[x][2 * b + a]] == step(r, q, b, a)
     assert r.states[initial] == r.initial
     for n in [*range(pairs.m_offset(3) + 1), pairs.m_offset(6) + 77]:
-        assert r.states[r.state_of_index(n)] == r.run_pair(q_of_index(n))
+        assert r.states[r.state_of_index(n)] == run_pair(r, q_of_index(n))
 
 
 def _clear_carrier_memos():

@@ -173,7 +173,7 @@ def test_prefix_needs_an_infinite_word_and_a_length():
     for w in (LassoWord((1, 2), (0,), size=3), carrier):
         with pytest.raises(WorkbenchError, match="nonnegative"):
             w.prefix(-1)
-    with pytest.raises(TypeError):
+    with pytest.raises(WorkbenchError):
         prefix(word("01"), 1)
 
 
